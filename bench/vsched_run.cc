@@ -2,7 +2,7 @@
 //
 //   vsched_run [--experiment NAME] [--fleet PRESET] [--jobs N] [--seed S]
 //              [--out FILE] [--filter SUBSTR] [--warmup-ms N] [--measure-ms N]
-//              [--tickless] [--timings] [--audit] [--list]
+//              [--no-tickless] [--timings] [--audit] [--list]
 //              [--fault-plan NAME] [--event-budget N] [--resume FILE] [--shards N]
 //
 // Experiments: fig18_rcvm (default), fig19_hpvm, fig02, all. --fleet PRESET
@@ -51,7 +51,7 @@ struct CliOptions {
   std::string filter;
   long warmup_ms = -1;   // -1: sweep default
   long measure_ms = -1;  // -1: sweep default
-  bool tickless = false;
+  bool tickless = true;  // --no-tickless: the ticking oracle
   bool timings = false;
   bool audit = false;
   bool list = false;
@@ -80,8 +80,9 @@ void Usage(std::FILE* out) {
                "  --filter SUBSTR    keep only runs whose id contains SUBSTR\n"
                "  --warmup-ms N      override per-run warmup (simulated ms)\n"
                "  --measure-ms N     override per-run measurement window (simulated ms)\n"
-               "  --tickless         elide no-op periodic timers (NOHZ-style); rows are\n"
-               "                     byte-identical with or without this flag, just faster\n"
+               "  --no-tickless      fire every periodic timer and every vtop probe sample\n"
+               "                     (the ticking oracle); rows are byte-identical to the\n"
+               "                     default NOHZ-style elision, just slower\n"
                "  --timings          include per-row wall_ms (non-deterministic) in JSONL\n"
                "  --audit            verify core invariants after every mutation (slow);\n"
                "                     output stays byte-identical, violations abort\n"
@@ -130,8 +131,8 @@ bool ParseArgs(int argc, char** argv, CliOptions& cli) {
     if (arg == "--help" || arg == "-h") {
       Usage(stdout);
       std::exit(0);
-    } else if (arg == "--tickless") {
-      cli.tickless = true;
+    } else if (arg == "--no-tickless") {
+      cli.tickless = false;
     } else if (arg == "--timings") {
       cli.timings = true;
     } else if (arg == "--audit") {
@@ -373,6 +374,7 @@ int main(int argc, char** argv) {
     uint64_t timer_fires = 0;
     uint64_t timer_cascades = 0;
     uint64_t ticks_elided = 0;
+    uint64_t probe_samples_elided = 0;
     for (const RunResult& result : results) {
       events += result.counters.events_executed;
       cb_heap_allocs += result.counters.callback_heap_allocs;
@@ -381,6 +383,7 @@ int main(int argc, char** argv) {
       timer_fires += result.counters.timer_fires;
       timer_cascades += result.counters.timer_cascades;
       ticks_elided += result.counters.ticks_elided;
+      probe_samples_elided += result.counters.probe_samples_elided;
     }
     double secs = static_cast<double>(elapsed.count()) / 1e9;
     std::fprintf(human,
@@ -392,11 +395,13 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(cb_heap_allocs),
                  static_cast<unsigned long long>(slab_allocs));
     std::fprintf(human,
-                 "timers: %llu fires, %llu cascades, %llu ticks elided%s\n",
+                 "timers: %llu fires, %llu cascades, %llu ticks elided, "
+                 "%llu probe samples elided%s\n",
                  static_cast<unsigned long long>(timer_fires),
                  static_cast<unsigned long long>(timer_cascades),
                  static_cast<unsigned long long>(ticks_elided),
-                 cli.tickless ? " (--tickless)" : "");
+                 static_cast<unsigned long long>(probe_samples_elided),
+                 cli.tickless ? "" : " (--no-tickless)");
   }
   return failed == 0 ? 0 : 1;
 }

@@ -40,6 +40,10 @@ struct PerfCounters {
   // ticks on inactive vCPUs, dormant host bandwidth refills).
   uint64_t ticks_elided = 0;
 
+  // vtop pair-probe grid points accounted in closed form instead of firing
+  // a sample timer (at most one prober running; see src/probe/pair_probe.h).
+  uint64_t probe_samples_elided = 0;
+
   void Reset() { *this = PerfCounters{}; }
 
   // Accumulates another tally into this one — how the sharded fleet engine
@@ -58,6 +62,7 @@ struct PerfCounters {
     timer_cancels += other.timer_cancels;
     timer_cascades += other.timer_cascades;
     ticks_elided += other.ticks_elided;
+    probe_samples_elided += other.probe_samples_elided;
   }
 
   // The thread's active counters; never null (falls back to a per-thread

@@ -122,7 +122,7 @@ class Fleet {
   // the head-to-head axis). `fault_plan` (may be null) arms machine-level
   // chaos on every fourth host, reusing the PR-5 injector with no VM bound.
   Fleet(Simulation* sim, FleetSpec spec, VSchedOptions guest_options,
-        const FaultPlan* fault_plan = nullptr, bool tickless = false);
+        const FaultPlan* fault_plan = nullptr, bool tickless = true);
   ~Fleet();
 
   Fleet(const Fleet&) = delete;

@@ -83,7 +83,7 @@ class ShardedFleet {
   // the calling thread. The cell partition comes from spec.cell_hosts and is
   // independent of `shards`.
   ShardedFleet(FleetSpec spec, uint64_t seed, VSchedOptions guest_options, int shards,
-               const FaultPlan* fault_plan = nullptr, bool tickless = false);
+               const FaultPlan* fault_plan = nullptr, bool tickless = true);
   ~ShardedFleet();
 
   ShardedFleet(const ShardedFleet&) = delete;

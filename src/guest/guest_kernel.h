@@ -36,12 +36,14 @@ struct GuestParams {
   // portability across fair schedulers (§4).
   bool use_eevdf = false;
   TimeNs tick_period = MsToNs(1);
-  // NOHZ-style tick elision: an inactive (descheduled) vCPU stops its
-  // periodic tick and re-arms on the grid when it is next scheduled in.
-  // Elided firings are provable no-ops, so observable state — vruntime,
-  // PELT, bvs/ivh classifications, stats, JSONL — is byte-identical either
-  // way (enforced by the vsched_run_tickless ctest).
-  bool tickless = false;
+  // NOHZ-style tick elision (on by default): an inactive (descheduled) vCPU
+  // stops its periodic tick and re-arms on the grid when it is next
+  // scheduled in, and vtop pair probes elide samples that cannot change
+  // anything. Elided firings are provable no-ops, so observable state —
+  // vruntime, PELT, bvs/ivh classifications, stats, JSONL — is
+  // byte-identical either way (enforced by the vsched_run_tickless ctest
+  // against `false`, the ticking oracle).
+  bool tickless = true;
   // Guest CFS granularities (guest-side, distinct from the host's).
   TimeNs min_granularity = UsToNs(1500);
   TimeNs wakeup_granularity = UsToNs(1000);

@@ -1,5 +1,6 @@
 #include "src/guest/guest_vcpu.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/base/check.h"
@@ -22,13 +23,30 @@ GuestVcpu::GuestVcpu(GuestKernel* kernel, int index, VcpuThread* thread)
 }
 
 GuestVcpu::~GuestVcpu() {
+  std::vector<VcpuWatcher*> watchers;
+  watchers.swap(watchers_);
+  for (VcpuWatcher* w : watchers) {
+    w->OnVcpuDetached(index_);
+  }
   sim_->DestroyTimer(completion_timer_);
   thread_->BindClient(nullptr);
 }
 
 double GuestVcpu::CfsCapacity() const { return kernel_->CfsCapacityOf(index_); }
 
+void GuestVcpu::AddWatcher(VcpuWatcher* watcher) {
+  VSCHED_CHECK(std::find(watchers_.begin(), watchers_.end(), watcher) == watchers_.end());
+  watchers_.push_back(watcher);
+}
+
+void GuestVcpu::RemoveWatcher(VcpuWatcher* watcher) {
+  auto it = std::find(watchers_.begin(), watchers_.end(), watcher);
+  VSCHED_CHECK(it != watchers_.end());
+  watchers_.erase(it);
+}
+
 void GuestVcpu::OnVcpuScheduledIn(TimeNs now) {
+  NotifyWatchers(now);
   kernel_->ResumeTick(index_);  // NOHZ: restart a stopped tick on its grid.
   if (current_ != nullptr) {
     OpenSegment(now);
@@ -48,7 +66,10 @@ void GuestVcpu::OnVcpuScheduledIn(TimeNs now) {
   }
 }
 
-void GuestVcpu::OnVcpuScheduledOut(TimeNs now) { CloseSegment(now); }
+void GuestVcpu::OnVcpuScheduledOut(TimeNs now) {
+  NotifyWatchers(now);
+  CloseSegment(now);
+}
 
 void GuestVcpu::OnVcpuRateChanged(TimeNs now) {
   if (segment_open_) {
@@ -147,6 +168,7 @@ void GuestVcpu::Dispatch(Task* next, TimeNs now) {
                      static_cast<double>(kernel_->params().min_granularity) *
                          (kCapacityScale / next->weight());
   current_ = next;
+  NotifyWatchers(now);
   kernel_->counters().context_switches.Inc();
   UpdateHostDemand();
   if (active()) {
@@ -159,6 +181,7 @@ void GuestVcpu::PutCurrent(TimeNs now, bool requeue) {
   CloseSegment(now);
   Task* prev = current_;
   current_ = nullptr;
+  NotifyWatchers(now);
   if (requeue) {
     prev->state_ = TaskState::kRunnable;
     prev->enqueue_time_ = now;

@@ -27,6 +27,19 @@ class GuestKernel;
 class HostMachine;
 class Simulation;
 
+// Observer of a vCPU's (host-active, current task) pair. OnVcpuStateChanged
+// runs after every change that may alter either half: host schedule-in and
+// schedule-out, Dispatch and PutCurrent. Callbacks must not re-enter the
+// guest kernel or add/remove watchers.
+class VcpuWatcher {
+ public:
+  virtual ~VcpuWatcher() = default;
+  virtual void OnVcpuStateChanged(TimeNs now) = 0;
+  // The vCPU (and with it its guest kernel) is being destroyed; the watcher
+  // is already unregistered from it and must not touch it again.
+  virtual void OnVcpuDetached(int index) = 0;
+};
+
 class GuestVcpu : public VcpuHostClient {
  public:
   GuestVcpu(GuestKernel* kernel, int index, VcpuThread* thread);
@@ -73,6 +86,12 @@ class GuestVcpu : public VcpuHostClient {
   // through the vSched bridge). Implemented in GuestKernel.
   double CfsCapacity() const;
 
+  // Registers/unregisters a state watcher (see VcpuWatcher). Watchers still
+  // registered when the vCPU dies receive OnVcpuDetached.
+  void AddWatcher(VcpuWatcher* watcher);
+  void RemoveWatcher(VcpuWatcher* watcher);
+  size_t watcher_count() const { return watchers_.size(); }
+
   // VcpuHostClient:
   void OnVcpuScheduledIn(TimeNs now) override;
   void OnVcpuScheduledOut(TimeNs now) override;
@@ -100,6 +119,14 @@ class GuestVcpu : public VcpuHostClient {
   // Updates the halted/wants-to-run demand signal toward the host.
   void UpdateHostDemand();
 
+  void NotifyWatchers(TimeNs now) {
+    // Indexed rather than range-for: a watcher that broke the no-add/remove
+    // rule could not invalidate an iterator.
+    for (size_t i = 0; i < watchers_.size(); ++i) {
+      watchers_[i]->OnVcpuStateChanged(now);
+    }
+  }
+
   GuestKernel* kernel_;
   Simulation* sim_;
   int index_;
@@ -122,6 +149,9 @@ class GuestVcpu : public VcpuHostClient {
 
   // Deferred function calls (IPIs) to execute when next active.
   std::vector<std::function<void()>> pending_ipis_;
+
+  // State watchers (vtop pair probes); empty on almost every vCPU.
+  std::vector<VcpuWatcher*> watchers_;
 
   // Accounting.
   Work work_done_ = 0;

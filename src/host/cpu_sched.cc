@@ -116,6 +116,9 @@ void CpuSched::Attach(HostEntity* e) {
 
 void CpuSched::Detach(HostEntity* e) {
   VSCHED_CHECK(e->sched_ == this);
+  // Leave the attached set first: detaching the running entity picks a
+  // successor below, and the audit hook there must not see `e` half-gone.
+  entities_.erase(std::find(entities_.begin(), entities_.end(), e));
   TimeNs now = sim_->now();
   if (e->bw_refill_timer_ != kInvalidTimerId) {
     sim_->DestroyTimer(e->bw_refill_timer_);
@@ -139,7 +142,6 @@ void CpuSched::Detach(HostEntity* e) {
     e->sched_ = nullptr;
   }
   e->throttled_ = false;
-  entities_.erase(std::find(entities_.begin(), entities_.end(), e));
   if (audit::Enabled()) {
     AuditVerify();
   }

@@ -30,11 +30,12 @@ struct HostSchedParams {
   // A waking entity preempts the current one only if the current has already
   // run at least this long (sched_wakeup_granularity_ns analogue).
   TimeNs wakeup_granularity = MsToNs(1);
-  // Tickless host: a bandwidth-refill timer whose firing would be a no-op
-  // (entity off-CPU, unthrottled, quota already full) goes dormant instead of
-  // re-arming; PickNext re-arms it on the refill grid before the entity runs
-  // again. Observable state is identical either way (vsched_run_tickless).
-  bool tickless = false;
+  // Tickless host (on by default): a bandwidth-refill timer whose firing
+  // would be a no-op (entity off-CPU, unthrottled, quota already full) goes
+  // dormant instead of re-arming; PickNext re-arms it on the refill grid
+  // before the entity runs again. Observable state is identical either way
+  // (vsched_run_tickless checks it against `false`, the ticking oracle).
+  bool tickless = true;
 };
 
 class CpuSched {

@@ -1,8 +1,11 @@
 #include "src/probe/pair_probe.h"
 
 #include <algorithm>
+#include <cmath>
 
+#include "src/base/audit.h"
 #include "src/base/check.h"
+#include "src/base/perf_counters.h"
 #include "src/fault/fault_injector.h"
 #include "src/guest/guest_kernel.h"
 #include "src/host/machine.h"
@@ -45,6 +48,14 @@ PairProbe::PairProbe(GuestKernel* kernel, int cpu_a, int cpu_b, PairProbeConfig 
       done_(std::move(done)) {
   VSCHED_CHECK(cpu_a != cpu_b);
   current_timeout_ = config_.timeout_attempts;
+  poll_every_sample_ = !kernel->params().tickless;
+  attempts_per_sample_ = static_cast<double>(config_.sample_quantum) /
+                         static_cast<double>(config_.attempt_period);
+  // Elided samples are accounted as one multiplication; that equals the
+  // polled sum only when every addend is an exact integer.
+  VSCHED_CHECK_MSG(attempts_per_sample_ >= 1.0 &&
+                       attempts_per_sample_ == std::floor(attempts_per_sample_),
+                   "sample_quantum must be a whole multiple of attempt_period");
   sample_timer_ = sim_->CreateTimer([this, alive = std::weak_ptr<const bool>(alive_)] {
     if (alive.expired()) {
       return;
@@ -53,7 +64,10 @@ PairProbe::PairProbe(GuestKernel* kernel, int cpu_a, int cpu_b, PairProbeConfig 
   });
 }
 
-PairProbe::~PairProbe() { sim_->DestroyTimer(sample_timer_); }
+PairProbe::~PairProbe() {
+  StopWatching();
+  sim_->DestroyTimer(sample_timer_);
+}
 
 bool PairProbe::CanDestroy() const {
   if (!done_reported_) {
@@ -66,6 +80,11 @@ bool PairProbe::CanDestroy() const {
 
 void PairProbe::Start() {
   started_at_ = sim_->now();
+  next_sample_ = 1;
+  vcpu_a_ = &kernel_->vcpu(cpu_a_);
+  vcpu_b_ = &kernel_->vcpu(cpu_b_);
+  vcpu_a_->AddWatcher(this);
+  vcpu_b_->AddWatcher(this);
   behavior_a_ = std::make_unique<SpinBehavior>(this);
   behavior_b_ = std::make_unique<SpinBehavior>(this);
   prober_a_ = kernel_->CreateTask("vtop-" + std::to_string(cpu_a_) + "-" + std::to_string(cpu_b_),
@@ -78,21 +97,137 @@ void PairProbe::Start() {
   kernel_->StartTask(prober_b_);
   kernel_->WakeTask(prober_a_);
   kernel_->WakeTask(prober_b_);
-  sim_->ArmTimerAfter(sample_timer_, config_.sample_quantum);
+  OnVcpuStateChanged(started_at_);  // arms the timer if the probers already run
+}
+
+bool PairProbe::ProberRunning(const GuestVcpu* vcpu, const Task* prober) const {
+  return vcpu != nullptr && prober != nullptr && vcpu->active() && vcpu->current() == prober;
+}
+
+bool PairProbe::CachedStateIsLive() const {
+  return a_running_ == ProberRunning(vcpu_a_, prober_a_) &&
+         b_running_ == ProberRunning(vcpu_b_, prober_b_);
+}
+
+void PairProbe::OnVcpuStateChanged(TimeNs now) {
+  // Every grid point before `now` ran in the cached state, and so did the
+  // point at `now` once its band slot has passed (the timer would already
+  // have fired there this instant).
+  int64_t last = (now - started_at_) / config_.sample_quantum;
+  if (GridPoint(last) == now && sim_->TimerStillFiresAt(sample_timer_, now)) {
+    --last;
+  }
+  ElideSamples(last - next_sample_ + 1);
+  a_running_ = ProberRunning(vcpu_a_, prober_a_);
+  b_running_ = ProberRunning(vcpu_b_, prober_b_);
+  ArmSampleTimer();
+  if (audit::Enabled()) {
+    AuditVerify();
+  }
+}
+
+void PairProbe::OnVcpuDetached(int index) {
+  // The guest is being torn down mid-probe: forget both vCPUs (the other
+  // one is still alive, or it would have detached us first) and never
+  // sample a dead kernel.
+  GuestVcpu* other = index == cpu_a_ ? vcpu_b_ : vcpu_a_;
+  if (other != nullptr) {
+    other->RemoveWatcher(this);
+  }
+  vcpu_a_ = nullptr;
+  vcpu_b_ = nullptr;
+  a_running_ = false;
+  b_running_ = false;
+  sim_->CancelTimer(sample_timer_);
+}
+
+void PairProbe::StopWatching() {
+  if (vcpu_a_ != nullptr) {
+    vcpu_a_->RemoveWatcher(this);
+    vcpu_b_->RemoveWatcher(this);
+    vcpu_a_ = nullptr;
+    vcpu_b_ = nullptr;
+    a_running_ = false;
+    b_running_ = false;
+  }
+}
+
+void PairProbe::ElideSamples(int64_t n) {
+  if (n <= 0) {
+    return;
+  }
+  // Both-running points always run as real samples (they draw the RNG).
+  VSCHED_CHECK(!(a_running_ && b_running_));
+  if (a_running_ != b_running_) {
+    attempts_ += static_cast<double>(n) * attempts_per_sample_;
+    // The timer sits on the timeout crossing, so elision never reaches it.
+    VSCHED_CHECK(attempts_ < current_timeout_);
+  }
+  next_sample_ += n;
+  PerfCounters::Current()->probe_samples_elided += static_cast<uint64_t>(n);
+}
+
+int64_t PairProbe::SamplesToTimeout() const {
+  // attempts_, current_timeout_ and the per-sample step are exact integers.
+  const auto remaining = static_cast<int64_t>(current_timeout_ - attempts_);
+  const auto step = static_cast<int64_t>(attempts_per_sample_);
+  return std::max<int64_t>(1, (remaining + step - 1) / step);
+}
+
+TimeNs PairProbe::SampleDeadline() const {
+  if (done_reported_ || vcpu_a_ == nullptr) {
+    return kTimeInfinity;
+  }
+  if (poll_every_sample_ || (a_running_ && b_running_)) {
+    return GridPoint(next_sample_);
+  }
+  if (a_running_ || b_running_) {
+    return GridPoint(next_sample_ + SamplesToTimeout() - 1);
+  }
+  return kTimeInfinity;
+}
+
+void PairProbe::ArmSampleTimer() {
+  const TimeNs when = SampleDeadline();
+  if (when == kTimeInfinity) {
+    sim_->CancelTimer(sample_timer_);
+  } else if (sim_->wheel().ArmedAt(sample_timer_) != when) {
+    sim_->ArmTimerAt(sample_timer_, when);
+  }
+}
+
+void PairProbe::AuditVerify() const {
+  if (!audit::Enabled()) {
+    return;
+  }
+  VSCHED_AUDIT_CHECK(CachedStateIsLive(), "pair probe missed a vCPU state change");
+  VSCHED_AUDIT_CHECK(sim_->wheel().ArmedAt(sample_timer_) == SampleDeadline(),
+                     "pair probe sample timer is off its deadline (disarmed while neither "
+                     "prober runs, the timeout grid point while one spins, the next grid "
+                     "point while both run)");
 }
 
 void PairProbe::Sample() {
-  const GuestVcpu& va = kernel_->vcpu(cpu_a_);
-  const GuestVcpu& vb = kernel_->vcpu(cpu_b_);
-  bool a_running = va.active() && va.current() == prober_a_;
-  bool b_running = vb.active() && vb.current() == prober_b_;
+  const TimeNs now = sim_->now();
+  const int64_t k = (now - started_at_) / config_.sample_quantum;
+  VSCHED_CHECK(GridPoint(k) == now && k >= next_sample_);
+  // Nothing changed since the timer was armed, so it fired where the cached
+  // state put it.
+  VSCHED_AUDIT_CHECK(CachedStateIsLive(), "pair probe missed a vCPU state change");
+  VSCHED_AUDIT_CHECK(SampleDeadline() == now, "pair probe sampled off its deadline");
+  ElideSamples(k - next_sample_);
+  next_sample_ = k + 1;
+  // The sample itself reads the live vCPUs, as the polling oracle does, so a
+  // missed notification shows up as a byte difference against it.
+  a_running_ = ProberRunning(vcpu_a_, prober_a_);
+  b_running_ = ProberRunning(vcpu_b_, prober_b_);
 
   double quantum = static_cast<double>(config_.sample_quantum);
-  if (a_running && b_running) {
+  if (a_running_ && b_running_) {
     // Both probers execute: the line ping-pongs at the hardware latency of
     // the two vCPUs' current hardware threads.
-    double lat = kernel_->machine()->topology().CacheLatencyNs(va.thread()->tid(),
-                                                               vb.thread()->tid());
+    double lat = kernel_->machine()->topology().CacheLatencyNs(vcpu_a_->thread()->tid(),
+                                                               vcpu_b_->thread()->tid());
     double jitter = 1.0 + config_.noise * (kernel_->rng().NextDouble() * 2.0 - 1.0);
     double observed = lat * jitter;
     FaultInjector* injector = kernel_->fault_injector();
@@ -115,10 +250,10 @@ void PairProbe::Sample() {
       }
       transfers_ += quantum / lat;
     }
-    attempts_ += quantum / static_cast<double>(config_.attempt_period);
-  } else if (a_running || b_running) {
+    attempts_ += attempts_per_sample_;
+  } else if (a_running_ || b_running_) {
     // One prober spins while the other is inactive or preempted.
-    attempts_ += quantum / static_cast<double>(config_.attempt_period);
+    attempts_ += attempts_per_sample_;
   }
 
   if (transfers_ >= config_.target_transfers) {
@@ -144,12 +279,16 @@ void PairProbe::Sample() {
       return;
     }
   }
-  sim_->ArmTimerAfter(sample_timer_, config_.sample_quantum);
+  ArmSampleTimer();
+  if (audit::Enabled()) {
+    AuditVerify();
+  }
 }
 
 void PairProbe::Finish(double latency) {
   VSCHED_CHECK(!done_reported_);
   done_reported_ = true;
+  StopWatching();
   sim_->CancelTimer(sample_timer_);
   if (config_.robust.enabled && latency != kInfiniteLatency && !observations_.empty()) {
     // Median instead of minimum: a handful of corrupted-low observations

@@ -54,11 +54,12 @@ struct RunSpec {
   TimeNs vcpu_latency = MsToNs(2);
   bool best_effort = false;
 
-  // Tickless simulation (guest NOHZ tick elision + dormant host bandwidth
-  // refills). Deliberately NOT part of Id(): rows must byte-compare across
-  // the two modes, which is exactly what the vsched_run_tickless ctest and
-  // the tickless CI job assert.
-  bool tickless = false;
+  // Tickless simulation (guest NOHZ tick elision, event-driven vtop pair
+  // probes, dormant host bandwidth refills), on by default; false is the
+  // ticking oracle (vsched_run --no-tickless). Deliberately NOT part of
+  // Id(): rows must byte-compare across the two modes, which is exactly
+  // what the vsched_run_tickless ctest and the tickless CI job assert.
+  bool tickless = true;
 
   // Named fault plan (src/fault/fault_plan.h) driving deterministic chaos
   // injection, or empty/"none" for a clean run. NOT part of Id(): a chaos

@@ -31,7 +31,7 @@ void Simulation::RunUntil(TimeNs deadline) {
     if (tq > deadline) {
       break;
     }
-    last_heap_exec_time_ = tq;
+    band_closed_at_ = tq;
     ++events_dispatched_;
     if (event_budget_ != 0 && events_dispatched_ > event_budget_) {
       throw SimBudgetExceeded(event_budget_);
@@ -39,6 +39,12 @@ void Simulation::RunUntil(TimeNs deadline) {
     queue_.RunOne();
   }
   queue_.AdvanceClockTo(deadline);
+  // Every timer due at `deadline` has fired, so its band is closed: code
+  // that runs after RunUntil returns at this instant (a sharded fleet's
+  // barrier phase, a runner between windows) must see a resumed periodic
+  // timer's slot here as already passed, exactly as a timer that never
+  // stopped would have fired it inside this call.
+  band_closed_at_ = deadline;
   VSCHED_AUDIT_CHECK(queue_.now() >= before, "simulation clock moved backwards");
   VSCHED_AUDIT_CHECK(deadline <= before || queue_.now() == deadline,
                      "RunUntil did not land on its deadline");

@@ -91,16 +91,16 @@ class Simulation {
 
   // True if a wheel timer `id` armed *right now* for deadline `when` ==
   // now() would still fire at this instant, i.e. the current timestamp's
-  // timer band has not yet passed the timer's (when, id) position and the
-  // heap phase has not begun. Tickless re-arm logic uses this to decide
-  // whether an elided periodic timer can still fire in its natural band
-  // position this instant.
+  // timer band has not yet passed the timer's (when, id) position, the heap
+  // phase has not begun, and RunUntil has not already returned at `when`.
+  // Tickless re-arm logic uses this to decide whether an elided periodic
+  // timer can still fire in its natural band position this instant.
   bool TimerStillFiresAt(TimerId id, TimeNs when) const {
     if (when > now()) {
       return true;
     }
-    if (last_heap_exec_time_ == when) {
-      return false;  // heap phase at `when` has begun: the band is closed
+    if (band_closed_at_ == when) {
+      return false;  // heap phase or RunUntil return at `when`: band closed
     }
     return wheel_.StillFiresAt(id, when);
   }
@@ -160,9 +160,10 @@ class Simulation {
   EventQueue queue_;
   TimerWheel wheel_;
   Rng rng_;
-  // Timestamp of the most recent heap event dispatched; marks the timer
-  // band at that instant as closed (see TimerStillFiresAt).
-  TimeNs last_heap_exec_time_ = -1;
+  // The timer band at this instant is closed (see TimerStillFiresAt): the
+  // timestamp of the most recent heap event dispatched, or of the deadline
+  // the last RunUntil returned at.
+  TimeNs band_closed_at_ = -1;
   uint64_t event_budget_ = 0;
   uint64_t events_dispatched_ = 0;
   // Handles live until the simulation dies; they are tiny and this keeps

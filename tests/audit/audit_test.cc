@@ -17,6 +17,8 @@
 #include "src/base/time.h"
 #include "src/guest/runqueue.h"
 #include "src/guest/task.h"
+#include "src/guest/vm.h"
+#include "src/host/machine.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/simulation.h"
 #include "src/sim/timer_wheel.h"
@@ -180,6 +182,44 @@ class AuditTest : public ::testing::Test {
   HogBehavior behavior_;
   std::vector<std::unique_ptr<Task>> tasks_;
 };
+
+// Detaching the running entity picks its successor, and the successor can
+// act on the same CpuSched at once: here a kicked vCPU delivers an IPI that
+// wakes a task on its stacked sibling, an audited wake-up. The detached
+// entity must already be out of the attached set by then. A VM migrating
+// (or departing) while one of its vCPUs runs takes this path.
+TEST_F(AuditTest, DetachingTheRunningEntityReportsNothing) {
+  Simulation sim(1);
+  TopologySpec spec;
+  spec.sockets = 1;
+  spec.cores_per_socket = 1;
+  spec.threads_per_core = 1;
+  HostMachine source(&sim, spec);
+  HostMachine dest(&sim, spec);
+  Vm vm(&sim, &source, MakeSimpleVmSpec("vm", 1));
+  VmSpec stacked = MakeSimpleVmSpec("stacked", 2);
+  stacked.vcpus[1].tid = 0;
+  Vm neighbor(&sim, &source, stacked);
+  vm.kernel().StartTask(
+      vm.kernel().CreateTask("hog", TaskPolicy::kNormal, &behavior_, CpuMask::Single(0)));
+  while (!vm.kernel().vcpu(0).active()) {
+    sim.RunFor(UsToNs(100));
+  }
+  GuestKernel& k = neighbor.kernel();
+  Task* sibling_task = k.CreateTask("late", TaskPolicy::kNormal, &behavior_, CpuMask::Single(1));
+  bool delivered = false;
+  k.RunOnVcpu(
+      0,
+      [&] {
+        delivered = true;
+        k.StartTask(sibling_task);
+      },
+      /*kick=*/true);
+  ASSERT_FALSE(k.vcpu(0).active());  // queued behind the hog's vCPU
+  vm.MigrateToMachine(&dest, {0});
+  EXPECT_TRUE(delivered);
+  EXPECT_EQ(audit::ViolationCount(), 0u);
+}
 
 TEST_F(AuditTest, CleanEventQueueChurnReportsNothing) {
   EventQueue q;

@@ -60,5 +60,21 @@ TEST(PerfCountersTest, ResetClearsAllTallies) {
   EXPECT_EQ(c.callback_heap_allocs, 0u);
 }
 
+// The sharded fleet folds per-cell tallies into the run's sink this way; the
+// elision counters must sum like every other tally.
+TEST(PerfCountersTest, MergeFromSumsElisionTallies) {
+  PerfCounters total;
+  total.ticks_elided = 2;
+  total.probe_samples_elided = 5;
+  PerfCounters cell;
+  cell.ticks_elided = 3;
+  cell.probe_samples_elided = 7;
+  cell.timer_fires = 11;
+  total.MergeFrom(cell);
+  EXPECT_EQ(total.ticks_elided, 5u);
+  EXPECT_EQ(total.probe_samples_elided, 12u);
+  EXPECT_EQ(total.timer_fires, 11u);
+}
+
 }  // namespace
 }  // namespace vsched

@@ -53,6 +53,32 @@ TEST(SimulationTest, CancelPeriodicFromInsideCallback) {
   EXPECT_EQ(count, 3);
 }
 
+// RunUntil(T) fires every timer due at T, so once it returns the band at T
+// is closed: a periodic timer resumed at T afterwards (a fleet barrier, say)
+// must go to its next grid point, not fire a second time at T.
+TEST(SimulationTest, RunUntilClosesTheBandAtItsDeadline) {
+  Simulation sim(1);
+  int fires = 0;
+  TimerId id = sim.CreateTimer([&] { ++fires; });
+  sim.ArmTimerAt(id, MsToNs(1));
+  EXPECT_TRUE(sim.TimerStillFiresAt(id, MsToNs(1)));
+  sim.RunUntil(MsToNs(1));
+  EXPECT_EQ(fires, 1);
+  EXPECT_FALSE(sim.TimerStillFiresAt(id, MsToNs(1)));
+  EXPECT_EQ(sim.NextGridPoint(0, MsToNs(1), id), MsToNs(2));
+  EXPECT_TRUE(sim.TimerStillFiresAt(id, MsToNs(2)));  // later instants stay open
+  sim.DestroyTimer(id);
+}
+
+TEST(SimulationTest, RunUntilClosesTheBandEvenWhenNothingFired) {
+  Simulation sim(1);
+  TimerId id = sim.CreateTimer([] {});
+  sim.RunUntil(MsToNs(3));
+  EXPECT_FALSE(sim.TimerStillFiresAt(id, MsToNs(3)));
+  EXPECT_EQ(sim.NextGridPoint(0, MsToNs(1), id), MsToNs(4));
+  sim.DestroyTimer(id);
+}
+
 TEST(SimulationTest, ForkRngDeterministic) {
   Simulation a(99);
   Simulation b(99);
