@@ -15,9 +15,13 @@
 // docs/RUNNER.md and docs/ROBUSTNESS.md.
 #include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -45,7 +49,7 @@ struct CliOptions {
   std::string experiment = "fig18_rcvm";
   std::string fleet;  // non-empty: fleet preset sweep instead of --experiment
   bool adversary = false;  // adversarial co-tenant deception-matrix sweep
-  int jobs = 0;
+  int jobs = 0;  // 0: hardware concurrency
   uint64_t seed = 0;  // 0: each sweep's built-in default
   std::string out;    // empty: stdout
   std::string filter;
@@ -58,7 +62,7 @@ struct CliOptions {
   std::string fault_plan;       // empty: clean run
   uint64_t event_budget = 0;    // 0: no watchdog
   std::string resume;           // empty: fresh sweep
-  int shards = 0;  // fleet runs: 0 = sequential engine, >= 1 = sharded PDES engine
+  int shards = 1;  // fleet runs: worker threads of the fleet engine
 };
 
 void Usage(std::FILE* out) {
@@ -92,11 +96,25 @@ void Usage(std::FILE* out) {
                "  --list-plans       print the canned fault plan names and exit\n"
                "  --event-budget N   per-run simulated-event watchdog; a run exceeding N\n"
                "                     events reports status=timeout instead of hanging\n"
-               "  --shards N         fleet runs: execute each fleet on the sharded PDES\n"
-               "                     engine with N worker threads (rows are byte-identical\n"
-               "                     for every N >= 1); 0 = sequential engine (default)\n"
+               "  --shards N         fleet runs: worker threads per fleet, N >= 1 (default\n"
+               "                     1); rows are byte-identical for every N\n"
                "  --resume FILE      reuse ok rows from a previous JSONL output and execute\n"
                "                     only the missing/failed cells\n");
+}
+
+// Parses `v` as a whole decimal integer no smaller than `min`; anything else
+// (trailing junk, overflow, a value below `min`) exits 2 rather than being
+// silently read as 0 the way std::atoi would.
+int ParseIntAtLeast(const char* name, const char* v, int min) {
+  char* end = nullptr;
+  errno = 0;
+  long parsed = std::strtol(v, &end, 10);
+  bool whole = end != v && *end == '\0' && !std::isspace(static_cast<unsigned char>(*v));
+  if (!whole || errno == ERANGE || parsed < min || parsed > INT_MAX) {
+    std::fprintf(stderr, "vsched_run: %s needs an integer >= %d, got '%s'\n", name, min, v);
+    std::exit(2);
+  }
+  return static_cast<int>(parsed);
 }
 
 // Parses argv; returns false (after printing usage) on an unknown flag.
@@ -158,13 +176,13 @@ bool ParseArgs(int argc, char** argv, CliOptions& cli) {
     } else if (take("--event-budget")) {
       cli.event_budget = std::strtoull(v, nullptr, 0);
     } else if (take("--shards")) {
-      cli.shards = std::atoi(v);
+      cli.shards = ParseIntAtLeast("--shards", v, 1);
     } else if (take("--resume")) {
       cli.resume = v;
     } else if (take("--experiment")) {
       cli.experiment = v;
     } else if (take("--jobs")) {
-      cli.jobs = std::atoi(v);
+      cli.jobs = ParseIntAtLeast("--jobs", v, 0);
     } else if (take("--seed")) {
       cli.seed = std::strtoull(v, nullptr, 0);
     } else if (take("--out")) {

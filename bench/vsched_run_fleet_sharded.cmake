@@ -1,16 +1,25 @@
-# ctest script: the sharded (PDES) fleet engine is deterministic in its
-# worker-thread count. Run with:
-#   cmake -DVSCHED_RUN=<binary> -DWORK_DIR=<dir> -P vsched_run_fleet_sharded.cmake
+# ctest script: fleet sweeps are deterministic in every execution knob. Run
+# with:
+#   cmake -DVSCHED_RUN=<binary> -DWORK_DIR=<dir> [-DPART=jobs|shards] \
+#         -P vsched_run_fleet_sharded.cmake
+#
+# PART=jobs runs asserts 1-2, PART=shards runs asserts 3-4, and no PART runs
+# all four. Each part writes its own files, so both may run at once.
 #
 # Asserts:
-#   1. A tiny-fleet sweep on the sharded engine emits byte-identical JSONL at
-#      --shards 1, 2, and 4. The host partition into cells is fixed by the
+#   1. A tiny-fleet sweep (4 hosts / 10 VMs of control-plane + guest-stack
+#      interleaving) emits byte-identical JSONL at --jobs 1 and --jobs 4.
+#   2. A chaos fleet sweep (machine-level fault injectors armed on every
+#      fourth host) replays byte-identically run over run — fault draws come
+#      from the same forked RNG streams as everything else.
+#   3. The JSONL is byte-identical at --shards 1, 2, and 4, and equal to the
+#      default (no --shards or --jobs). The host partition into cells is fixed by the
 #      FleetSpec (tiny: two 2-host cells), shard-crossing interactions travel
 #      as (due, origin, seq)-ordered mailbox messages applied at lookahead
 #      barriers, and per-cell RNG streams derive from the root seed in cell
 #      order — so the thread count is unobservable, the same guarantee class
 #      as the runner's --jobs (see docs/PERF.md, "Sharded fleet execution").
-#   2. The same holds with a chaos plan armed: fault injectors live inside
+#   4. The same holds with a chaos plan armed: fault injectors live inside
 #      cells and replay byte-identically at any shard count.
 
 function(run_fleet out)
@@ -32,17 +41,36 @@ function(expect_identical a b what)
   endif()
 endfunction()
 
-# --- 1. byte-identical across shard counts -----------------------------------
-run_fleet(${WORK_DIR}/fleet_s1.jsonl --shards 1)
-run_fleet(${WORK_DIR}/fleet_s2.jsonl --shards 2)
-run_fleet(${WORK_DIR}/fleet_s4.jsonl --shards 4)
-expect_identical(${WORK_DIR}/fleet_s1.jsonl ${WORK_DIR}/fleet_s2.jsonl
-                 "sharded fleet JSONL differs between --shards=1 and --shards=2")
-expect_identical(${WORK_DIR}/fleet_s1.jsonl ${WORK_DIR}/fleet_s4.jsonl
-                 "sharded fleet JSONL differs between --shards=1 and --shards=4")
+if(NOT DEFINED PART OR PART STREQUAL "jobs")
+  # --- 1. byte-identical across job counts ----------------------------------
+  run_fleet(${WORK_DIR}/fleet_j1.jsonl --jobs 1)
+  run_fleet(${WORK_DIR}/fleet_j4.jsonl --jobs 4)
+  expect_identical(${WORK_DIR}/fleet_j1.jsonl ${WORK_DIR}/fleet_j4.jsonl
+                   "fleet JSONL differs between --jobs=1 and --jobs=4")
 
-# --- 2. chaos-plan replay across shard counts --------------------------------
-run_fleet(${WORK_DIR}/fleet_chaos_s1.jsonl --shards 1 --fault-plan everything)
-run_fleet(${WORK_DIR}/fleet_chaos_s4.jsonl --shards 4 --fault-plan everything)
-expect_identical(${WORK_DIR}/fleet_chaos_s1.jsonl ${WORK_DIR}/fleet_chaos_s4.jsonl
-                 "chaos sharded fleet differs between --shards=1 and --shards=4")
+  # --- 2. chaos fleet replay -------------------------------------------------
+  run_fleet(${WORK_DIR}/fleet_chaos_a.jsonl --jobs 2 --fault-plan everything)
+  run_fleet(${WORK_DIR}/fleet_chaos_b.jsonl --jobs 2 --fault-plan everything)
+  expect_identical(${WORK_DIR}/fleet_chaos_a.jsonl ${WORK_DIR}/fleet_chaos_b.jsonl
+                   "chaos fleet sweep does not replay byte-identically")
+endif()
+
+if(NOT DEFINED PART OR PART STREQUAL "shards")
+  # --- 3. byte-identical across shard counts ---------------------------------
+  run_fleet(${WORK_DIR}/fleet_default.jsonl)
+  run_fleet(${WORK_DIR}/fleet_s1.jsonl --shards 1)
+  run_fleet(${WORK_DIR}/fleet_s2.jsonl --shards 2)
+  run_fleet(${WORK_DIR}/fleet_s4.jsonl --shards 4)
+  expect_identical(${WORK_DIR}/fleet_s1.jsonl ${WORK_DIR}/fleet_default.jsonl
+                   "fleet JSONL differs between --shards=1 and the default")
+  expect_identical(${WORK_DIR}/fleet_s1.jsonl ${WORK_DIR}/fleet_s2.jsonl
+                   "fleet JSONL differs between --shards=1 and --shards=2")
+  expect_identical(${WORK_DIR}/fleet_s1.jsonl ${WORK_DIR}/fleet_s4.jsonl
+                   "fleet JSONL differs between --shards=1 and --shards=4")
+
+  # --- 4. chaos-plan replay across shard counts ------------------------------
+  run_fleet(${WORK_DIR}/fleet_chaos_s1.jsonl --shards 1 --fault-plan everything)
+  run_fleet(${WORK_DIR}/fleet_chaos_s4.jsonl --shards 4 --fault-plan everything)
+  expect_identical(${WORK_DIR}/fleet_chaos_s1.jsonl ${WORK_DIR}/fleet_chaos_s4.jsonl
+                   "chaos fleet differs between --shards=1 and --shards=4")
+endif()

@@ -121,14 +121,14 @@ struct FleetSpec {
   TimeNs migration_copy_latency = MsToNs(40);
   TimeNs migration_downtime = MsToNs(2);
 
-  // ---- Sharded execution (vsched_run --fleet --shards=N) ----
+  // ---- Cell partition (src/cluster/sharded_fleet.h) ----
   // Hosts are grouped into fixed cells of this many contiguous hosts; each
   // cell is one logical process of the PDES engine (own event queue, timer
   // wheel, RNG) and one migration domain — consolidation drains within a
   // cell, mirroring rack-locality constraints real placement respects.
   // Deliberately part of the *spec*, not the CLI: the partition must not
   // depend on --shards, or output could not be byte-identical across shard
-  // counts. The sequential Fleet engine ignores it.
+  // counts.
   int cell_hosts = 8;
 
   // ---- Energy model (watts; integrated over the horizon) ----
@@ -141,7 +141,7 @@ struct FleetSpec {
 // Canned presets, smallest to largest:
 //   tiny  —    4 hosts,   10 VMs x 2 vCPU (CI smoke / determinism ctest)
 //   small —   16 hosts,   48 VMs x 4 vCPU
-//   rack  —   64 hosts,  256 VMs x 4 vCPU (bench_perf_core fleet_small)
+//   rack  —   64 hosts,  256 VMs x 4 vCPU (bench_perf_core fleet_small_sharded)
 //   dc    — 1000 hosts, 4000 VMs x 4 vCPU (the headline scale target)
 bool LookupFleetSpec(const std::string& name, FleetSpec* spec);
 std::vector<std::string> FleetSpecNames();

@@ -2,6 +2,7 @@
 // grids (bandwidth- and DVFS-induced), vact across latency grids, and vtop
 // against randomly generated ground-truth topologies.
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -100,6 +101,12 @@ struct VtopCase {
   uint64_t seed;
   int vcpus;
 };
+
+// Names each case by its fields. Without this gtest prints the raw bytes,
+// padding included, so ctest case names changed on every discovery.
+void PrintTo(const VtopCase& c, std::ostream* os) {
+  *os << "seed=" << c.seed << ",vcpus=" << c.vcpus;
+}
 
 class VtopRandomTopology : public ::testing::TestWithParam<VtopCase> {};
 
