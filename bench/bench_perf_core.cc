@@ -1,6 +1,6 @@
 // bench_perf_core: the perf-regression harness for the simulator's hottest
 // data structures (the DES event queue, the CFS/EEVDF runqueue, and the
-// hierarchical timer wheel), the tickless idle path, plus one end-to-end
+// timer band), the tickless idle path, plus one end-to-end
 // Figure 18 cell as a whole-stack canary.
 //
 //   bench_perf_core [--out FILE] [--baseline FILE] [--max-regress F]
@@ -178,20 +178,20 @@ RqChurnResult RunRunqueueChurn(uint64_t target_ops, bool eevdf) {
 // Timer churn: the periodic-timer pattern the tickless work moved off the
 // main heap — 256 periodic timers with mixed periods, every firing re-arms
 // itself, and every 16th firing cancel-and-re-arms a random victim. The same
-// logical workload runs once on the hierarchical timer wheel and once on the
-// heap-backed event queue, so the section is its own before/after ledger.
+// logical workload runs once on the timer band (TimerWheel: re-arms re-key
+// in place) and once on the event queue (cancel + fresh schedule), so the section is its own before/after ledger.
 // ---------------------------------------------------------------------------
 
 struct TimerChurnResult {
   uint64_t fires = 0;
-  int64_t wall_ns = 0;  // timer wheel
+  int64_t wall_ns = 0;  // timer band
   double ops_per_sec = 0;
   int64_t heap_wall_ns = 0;  // event-queue backend, same logical workload
   double heap_ops_per_sec = 0;
   double speedup = 0;
 };
 
-// Periods between ~51us and ~1.6ms, slightly detuned so buckets stay mixed.
+// Periods between ~51us and ~1.6ms, slightly detuned so deadlines stay mixed.
 TimeNs ChurnPeriod(int i) {
   return static_cast<TimeNs>((i % 32 + 1) * 51'200 + 1'024 * (i % 7));
 }

@@ -390,7 +390,6 @@ int main(int argc, char** argv) {
     uint64_t slab_allocs = 0;
     uint64_t picks = 0;
     uint64_t timer_fires = 0;
-    uint64_t timer_cascades = 0;
     uint64_t ticks_elided = 0;
     uint64_t probe_samples_elided = 0;
     for (const RunResult& result : results) {
@@ -399,7 +398,6 @@ int main(int argc, char** argv) {
       slab_allocs += result.counters.event_slab_allocs;
       picks += result.counters.rq_picks;
       timer_fires += result.counters.timer_fires;
-      timer_cascades += result.counters.timer_cascades;
       ticks_elided += result.counters.ticks_elided;
       probe_samples_elided += result.counters.probe_samples_elided;
     }
@@ -413,10 +411,8 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(cb_heap_allocs),
                  static_cast<unsigned long long>(slab_allocs));
     std::fprintf(human,
-                 "timers: %llu fires, %llu cascades, %llu ticks elided, "
-                 "%llu probe samples elided%s\n",
+                 "timers: %llu fires, %llu ticks elided, %llu probe samples elided%s\n",
                  static_cast<unsigned long long>(timer_fires),
-                 static_cast<unsigned long long>(timer_cascades),
                  static_cast<unsigned long long>(ticks_elided),
                  static_cast<unsigned long long>(probe_samples_elided),
                  cli.tickless ? "" : " (--no-tickless)");

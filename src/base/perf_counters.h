@@ -30,7 +30,9 @@ struct PerfCounters {
   uint64_t rq_dequeues = 0;
   uint64_t rq_picks = 0;
 
-  // Timer-wheel traffic (the periodic "timer band"; see src/sim/timer_wheel.h).
+  // Timer-band traffic (see src/sim/timer_wheel.h). Re-arming an armed timer
+  // counts one arm and one cancel. timer_cascades is always 0 (the band is a
+  // heap, with no cascades); it stays only because perfbench reports it.
   uint64_t timer_arms = 0;
   uint64_t timer_fires = 0;
   uint64_t timer_cancels = 0;

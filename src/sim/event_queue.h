@@ -112,7 +112,7 @@ class EventQueue {
 
   // Moves the clock forward to `t` without running anything. `t` must not
   // skip a pending event. Used by Simulation's interleaved run loop to hand
-  // the clock to the timer wheel between heap dispatches; no-op if t <= now.
+  // the clock to the timer band between heap dispatches; no-op if t <= now.
   void AdvanceClockTo(TimeNs t) {
     if (t <= now_) {
       return;

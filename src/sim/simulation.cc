@@ -8,8 +8,8 @@ namespace vsched {
 
 void Simulation::RunUntil(TimeNs deadline) {
   const TimeNs before = queue_.now();
-  // Interleave the two backends. At equal timestamps the wheel's timer band
-  // fires first (tw <= limit includes tw == tq), so periodic timers always
+  // Interleave the two backends. At equal timestamps the timer band fires
+  // first (tw <= limit includes tw == tq), so periodic timers always
   // precede heap events at their instant — in both tickless modes, which is
   // what keeps the heap's sequence-number stream mode-invariant.
   for (;;) {

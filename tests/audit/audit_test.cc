@@ -59,85 +59,57 @@ struct AuditTestAccess {
     std::swap(rq.normal_.front(), rq.normal_.back());
   }
 
-  // ---- TimerWheel backdoors ----
+  // ---- TimerWheel (timer band) backdoors ----
 
-  // Shifts the farthest bucketed timer's deadline by two bucket widths: its
-  // bucket membership no longer matches the deadline's (level, bucket) hash.
-  // (Farthest, so near-term dispatch keeps working and run-loop hooks still
-  // get a chance to notice.)
-  static void BreakWheelBucketDeadline(TimerWheel& w) {
-    TimerWheel::Timer* worst = nullptr;
-    for (auto& t : w.timers_) {
-      if (t.state == TimerWheel::State::kBucket &&
-          (worst == nullptr || t.deadline > worst->deadline)) {
-        worst = &t;
-      }
+  // Shifts the farthest armed timer's deadline by 2 ms: its heap key no
+  // longer matches the deadline. (Farthest, so near-term dispatch keeps
+  // working and run-loop hooks still get a chance to notice.)
+  static void BreakWheelKeyDeadline(TimerWheel& w) {
+    ASSERT_FALSE(w.heap_.empty()) << "no armed timer to corrupt";
+    TimerWheel::Key worst = w.heap_[0];
+    for (TimerWheel::Key key : w.heap_) {
+      worst = std::max(worst, key);
     }
-    ASSERT_NE(worst, nullptr) << "no bucketed timer to corrupt";
-    worst->deadline += 2 * TimerWheel::BucketWidth(worst->level);
+    w.At(TimerWheel::KeyId(worst)).deadline += MsToNs(2);
   }
 
-  // Clears the occupancy bit of a non-empty bucket: the dispatch probe would
-  // skip it, silently losing every timer inside.
-  static void BreakWheelOccupancy(TimerWheel& w) {
-    for (int level = 0; level < TimerWheel::kLevels; ++level) {
-      for (int b = 0; b < TimerWheel::kBuckets; ++b) {
-        if (!w.Bucket(level, b).empty()) {
-          w.occupancy_[level] &= ~(uint64_t{1} << b);
-          return;
-        }
-      }
-    }
-    FAIL() << "no occupied bucket to corrupt";
+  // Marks a heap-resident timer idle in the position index: IsArmed and
+  // Cancel would miss a timer that still fires.
+  static void BreakWheelPositionIndex(TimerWheel& w) {
+    ASSERT_FALSE(w.heap_.empty()) << "no armed timer to corrupt";
+    w.pos_[TimerWheel::KeyId(w.heap_[0])] = TimerWheel::kNoPos;
   }
 
-  // Breaks a bucketed timer's (level, bucket, slot) back-pointer.
+  // Breaks an armed timer's heap-position back-pointer.
   static void BreakWheelBackPointer(TimerWheel& w) {
-    for (auto& t : w.timers_) {
-      if (t.state == TimerWheel::State::kBucket) {
-        t.slot += 7;
-        return;
-      }
-    }
-    FAIL() << "no bucketed timer to corrupt";
+    ASSERT_FALSE(w.heap_.empty()) << "no armed timer to corrupt";
+    w.pos_[TimerWheel::KeyId(w.heap_[0])] += 7;
   }
 
-  // Drops a timer from its bucket without fixing armed_count_ — the "timer
-  // lost across a cascade" failure mode.
+  // Drops an entry from the heap (and the position index) without fixing
+  // armed_count_: the "timer lost" failure mode.
   static void LoseWheelTimer(TimerWheel& w) {
-    for (int level = 0; level < TimerWheel::kLevels; ++level) {
-      for (int b = 0; b < TimerWheel::kBuckets; ++b) {
-        std::vector<uint32_t>& bucket = w.Bucket(level, b);
-        if (!bucket.empty()) {
-          w.timers_[bucket.back() - 1].state = TimerWheel::State::kIdle;
-          bucket.pop_back();
-          if (bucket.empty()) {
-            w.occupancy_[level] &= ~(uint64_t{1} << b);
-          }
-          return;
-        }
-      }
-    }
-    FAIL() << "no occupied bucket to corrupt";
+    ASSERT_FALSE(w.heap_.empty()) << "no armed timer to corrupt";
+    w.pos_[TimerWheel::KeyId(w.heap_.back())] = TimerWheel::kNoPos;
+    w.heap_.pop_back();
   }
 
   // Pretends dispatch already passed an armed timer's deadline (monotone
   // dispatch violation).
   static void BreakWheelMonotoneDispatch(TimerWheel& w) {
-    for (auto& t : w.timers_) {
-      if (t.state == TimerWheel::State::kBucket) {
-        w.fired_any_ = true;
-        w.last_fire_when_ = t.deadline + 1;
-        return;
-      }
-    }
-    FAIL() << "no bucketed timer to corrupt";
+    ASSERT_FALSE(w.heap_.empty()) << "no armed timer to corrupt";
+    w.fired_any_ = true;
+    w.last_fire_when_ = TimerWheel::KeyDeadline(w.heap_[0]) + 1;
   }
 
-  // Swaps two ready-heap entries (requires >= 2 live entries).
-  static void BreakWheelReadyOrder(TimerWheel& w) {
-    ASSERT_GE(w.ready_.size(), 2u);
-    std::swap(w.ready_.front(), w.ready_.back());
+  // Swaps the heap root with the last entry, repairing both back-pointers so
+  // that only the order invariant is violated (requires >= 2 entries).
+  static void BreakWheelHeapOrder(TimerWheel& w) {
+    ASSERT_GE(w.heap_.size(), 2u);
+    const uint32_t last = static_cast<uint32_t>(w.heap_.size() - 1);
+    const TimerWheel::Key root = w.heap_[0];
+    w.Place(0, w.heap_[last]);
+    w.Place(last, root);
   }
 };
 
@@ -340,19 +312,19 @@ TEST_F(AuditTest, CleanTimerWheelChurnReportsNothing) {
 TEST_F(AuditTest, WheelBucketHashCorruptionIsCaught) {
   TimerWheel w;
   w.Arm(w.Register([] {}), MsToNs(5));
-  AuditTestAccess::BreakWheelBucketDeadline(w);
+  AuditTestAccess::BreakWheelKeyDeadline(w);
   w.AuditVerify();
   EXPECT_GT(audit::ViolationCount(), 0u);
-  EXPECT_TRUE(AnyViolationContains("hashes to a different bucket"));
+  EXPECT_TRUE(AnyViolationContains("heap key disagrees with its timer's deadline"));
 }
 
 TEST_F(AuditTest, WheelOccupancyCorruptionIsCaught) {
   TimerWheel w;
   w.Arm(w.Register([] {}), MsToNs(5));
-  AuditTestAccess::BreakWheelOccupancy(w);
+  AuditTestAccess::BreakWheelPositionIndex(w);
   w.AuditVerify();
   EXPECT_GT(audit::ViolationCount(), 0u);
-  EXPECT_TRUE(AnyViolationContains("occupancy bit disagrees"));
+  EXPECT_TRUE(AnyViolationContains("position index marks idle"));
 }
 
 TEST_F(AuditTest, WheelBackPointerCorruptionIsCaught) {
@@ -386,28 +358,27 @@ TEST_F(AuditTest, WheelReadyOrderCorruptionIsCaught) {
   TimerWheel w;
   w.Arm(w.Register([] {}), MsToNs(2));
   w.Arm(w.Register([] {}), MsToNs(2) + 100);
-  // Promote both into the ready heap without firing them.
   ASSERT_EQ(w.NextDeadlineAtMost(MsToNs(3)), MsToNs(2));
-  AuditTestAccess::BreakWheelReadyOrder(w);
+  AuditTestAccess::BreakWheelHeapOrder(w);
   w.AuditVerify();
   EXPECT_GT(audit::ViolationCount(), 0u);
-  EXPECT_TRUE(AnyViolationContains("ready heap order violated"));
+  EXPECT_TRUE(AnyViolationContains("heap order violated"));
 }
 
 TEST_F(AuditTest, WheelCorruptionFiresFromTheRunLoopHook) {
   Simulation sim(/*seed=*/7);
   int near_fires = 0;
   sim.Every(MsToNs(1), [&] { ++near_fires; });
-  sim.Every(MsToNs(200), [] {});  // far periodic: sits in a high-level bucket
+  sim.Every(MsToNs(200), [] {});  // far periodic: the farthest heap entry
   sim.RunFor(MsToNs(1));
   ASSERT_EQ(audit::ViolationCount(), 0u);
-  AuditTestAccess::BreakWheelBucketDeadline(sim.wheel());
+  AuditTestAccess::BreakWheelKeyDeadline(sim.wheel());
   // No direct AuditVerify call: the run loop's post-dispatch hook must fire
   // on the next near-timer dispatch.
   sim.RunFor(MsToNs(2));
   EXPECT_GT(near_fires, 1);
   EXPECT_GT(audit::ViolationCount(), 0u);
-  EXPECT_TRUE(AnyViolationContains("hashes to a different bucket"));
+  EXPECT_TRUE(AnyViolationContains("heap key disagrees with its timer's deadline"));
 }
 
 TEST_F(AuditTest, SimulationClockStaysMonotone) {

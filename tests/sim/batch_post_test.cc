@@ -146,8 +146,8 @@ void DrainWheel(TimerWheel& wheel, TimeNs until) {
 TEST(ArmBatchTest, MatchesSingleArmsExactly) {
   // Two wheels with identically registered timers; one armed by N Arm
   // calls, the other by one ArmBatch over the same (id, when) list. The
-  // list includes re-arms of already-armed timers and deadlines spanning
-  // the ready-heap horizon, near buckets, and multi-cascade far buckets.
+  // list includes re-arms of already-armed timers and deadlines from tens
+  // of microseconds to hundreds of milliseconds.
   Rng rng(0xA8B7);
   for (int round = 0; round < 10; ++round) {
     TimerWheel s2;
@@ -175,16 +175,16 @@ TEST(ArmBatchTest, MatchesSingleArmsExactly) {
     }
 
     // The batch: random ids (some already armed — ArmBatch must re-arm),
-    // deadlines spread across wheel bands.
+    // deadlines spread over three ranges.
     const int n = static_cast<int>(rng.UniformInt(1, 100));
     std::vector<std::pair<TimerId, TimeNs>> batch_b;
     std::vector<std::pair<size_t, TimeNs>> draws;
     for (int i = 0; i < n; ++i) {
       size_t idx = static_cast<size_t>(rng.UniformInt(0, kTimers - 1));
       int band = static_cast<int>(rng.UniformInt(0, 2));
-      TimeNs when = band == 0   ? 1 + rng.UniformInt(0, UsToNs(60))   // ready horizon
-                    : band == 1 ? UsToNs(70) + rng.UniformInt(0, MsToNs(4))  // level-1
-                                : MsToNs(5) + rng.UniformInt(0, MsToNs(200));  // cascades
+      TimeNs when = band == 0   ? 1 + rng.UniformInt(0, UsToNs(60))
+                    : band == 1 ? UsToNs(70) + rng.UniformInt(0, MsToNs(4))
+                                : MsToNs(5) + rng.UniformInt(0, MsToNs(200));
       draws.emplace_back(idx, when);
     }
     for (const auto& [idx, when] : draws) {

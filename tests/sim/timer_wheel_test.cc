@@ -1,10 +1,11 @@
-// TimerWheel unit tests plus the differential stress against the 4-ary event
-// heap: under a random schedule/cancel/advance workload the wheel must
-// produce exactly the dispatch sequence the heap backend would.
+// TimerWheel (timer band) unit tests plus the differential stress against
+// the event queue: under a random arm/re-arm/cancel/advance workload, with
+// more of the same issued from inside timer callbacks, the band must produce
+// exactly the dispatch sequence the EventQueue oracle does.
 #include "src/sim/timer_wheel.h"
 
-#include <algorithm>
 #include <functional>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -65,11 +66,11 @@ TEST(TimerWheel, SameDeadlineFiresInRegistrationOrder) {
 TEST(TimerWheel, FarDeadlineCascadesDownToExactFiring) {
   TimerWheel wheel;
   std::vector<TimeNs> fired;
-  // Deep into level 5 territory: crosses several cascades on the way down.
+  // Far beyond every other deadline in the tests (~73 minutes).
   const TimeNs kWhen = (TimeNs{1} << 42) + 777;
   TimerId id = wheel.Register([&] { fired.push_back(kWhen); });
   wheel.Arm(id, kWhen);
-  // A near probe must not disturb it (and must stay cheap / bounded).
+  // A near probe must not disturb it.
   EXPECT_EQ(wheel.NextDeadlineAtMost(MsToNs(1)), kTimeInfinity);
   EXPECT_TRUE(wheel.IsArmed(id));
   EXPECT_EQ(wheel.NextDeadlineAtMost(kWhen - 1), kTimeInfinity);
@@ -99,8 +100,8 @@ TEST(TimerWheel, CancelAfterPromotionToReady) {
   TimerId keeper = wheel.Register([&] { ++fires; });
   wheel.Arm(victim, MsToNs(2));
   wheel.Arm(keeper, MsToNs(2) + 100);
-  // The probe may pull both into the ready heap; cancelling afterwards must
-  // still win (lazy invalidation).
+  // Cancelling after a probe has seen the timer as the earliest must still
+  // win: the probe is a pure peek.
   EXPECT_EQ(wheel.NextDeadlineAtMost(MsToNs(3)), MsToNs(2));
   EXPECT_TRUE(wheel.Cancel(victim));
   EXPECT_EQ(wheel.NextDeadlineAtMost(MsToNs(3)), MsToNs(2) + 100);
@@ -173,20 +174,157 @@ TEST(TimerWheel, StillFiresAtTracksDispatchPosition) {
   EXPECT_TRUE(wheel.StillFiresAt(b, MsToNs(2)));  // future instants unaffected
 }
 
+TEST(TimerWheel, InsideItsCallbackATimerIsIdle) {
+  TimerWheel wheel;
+  bool armed_inside = true;
+  bool cancel_inside = true;
+  TimeNs armed_at_inside = 0;
+  TimerId id = kInvalidTimerId;
+  id = wheel.Register([&] {
+    armed_inside = wheel.IsArmed(id);
+    armed_at_inside = wheel.ArmedAt(id);
+    cancel_inside = wheel.Cancel(id);
+  });
+  wheel.Arm(id, MsToNs(1));
+  DrainUntil(wheel, MsToNs(5));
+  EXPECT_FALSE(armed_inside);
+  EXPECT_EQ(armed_at_inside, kTimeInfinity);
+  EXPECT_FALSE(cancel_inside);
+  EXPECT_FALSE(wheel.IsArmed(id));
+  EXPECT_EQ(wheel.ArmedCount(), 0u);
+  EXPECT_EQ(wheel.NextDeadlineAtMost(kTimeInfinity - 1), kTimeInfinity);
+}
+
+TEST(TimerWheel, SelfReArmEarlierAndLaterThanPendingTimersFires) {
+  TimerWheel wheel;
+  std::vector<std::pair<int, TimeNs>> order;
+  TimeNs now = 0;
+  TimerId a = kInvalidTimerId;
+  a = wheel.Register([&] {
+    order.emplace_back(0, now);
+    if (now == MsToNs(10)) {
+      wheel.Arm(a, MsToNs(20));  // still ahead of b: stays the earliest
+    } else if (now == MsToNs(20)) {
+      wheel.Arm(a, MsToNs(40));  // now behind b: sinks below it
+    }
+  });
+  TimerId b = wheel.Register([&] { order.emplace_back(1, now); });
+  wheel.Arm(a, MsToNs(10));
+  wheel.Arm(b, MsToNs(30));
+  for (TimeNs next; (next = wheel.NextDeadlineAtMost(kTimeInfinity - 1)) != kTimeInfinity;) {
+    now = next;
+    wheel.RunOne(next);
+  }
+  const std::vector<std::pair<int, TimeNs>> want = {
+      {0, MsToNs(10)}, {0, MsToNs(20)}, {1, MsToNs(30)}, {0, MsToNs(40)}};
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(wheel.ArmedCount(), 0u);
+}
+
+TEST(TimerWheel, CallbackReRegistersItsOwnIdAndArmsIt) {
+  TimerWheel wheel;
+  struct Context {
+    TimerWheel* wheel;
+    TimerId id = kInvalidTimerId;
+    TimerId reborn = kInvalidTimerId;
+    int old_fires = 0;
+    int new_fires = 0;
+  } ctx{&wheel};
+  ctx.id = wheel.Register([c = &ctx] {
+    // Copy the capture out first: Unregister and Register below replace
+    // this closure's storage while it runs.
+    Context* self = c;
+    ++self->old_fires;
+    self->wheel->Unregister(self->id);
+    self->reborn = self->wheel->Register([self] { ++self->new_fires; });
+    self->wheel->Arm(self->reborn, MsToNs(3));
+  });
+  wheel.Arm(ctx.id, MsToNs(1));
+  DrainUntil(wheel, MsToNs(10));
+  EXPECT_EQ(ctx.reborn, ctx.id);  // LIFO recycling hands the same id back
+  EXPECT_EQ(ctx.old_fires, 1);
+  EXPECT_EQ(ctx.new_fires, 1);
+  EXPECT_EQ(wheel.ArmedCount(), 0u);
+  EXPECT_EQ(wheel.NextDeadlineAtMost(kTimeInfinity - 1), kTimeInfinity);
+}
+
+TEST(TimerWheel, LowerIdArmedAtTheDispatchingInstantFiresNext) {
+  TimerWheel wheel;
+  std::vector<int> order;
+  std::vector<TimerId> ids(4);
+  for (int i = 0; i < 4; ++i) {
+    ids[static_cast<size_t>(i)] = wheel.Register([&, i] {
+      order.push_back(i);
+      if (i == 1) {
+        wheel.Arm(ids[0], MsToNs(5));  // the instant being dispatched
+      }
+    });
+  }
+  wheel.Arm(ids[3], MsToNs(5));
+  wheel.Arm(ids[1], MsToNs(5));
+  wheel.Arm(ids[2], MsToNs(5));
+  DrainUntil(wheel, MsToNs(5));
+  // The late arm of id 0 fires right after its arming callback, ahead of the
+  // higher ids still pending at this instant.
+  EXPECT_EQ(order, (std::vector<int>{1, 0, 2, 3}));
+}
+
+TEST(TimerWheel, ArmedCountIsExactInsideACallback) {
+  TimerWheel wheel;
+  std::vector<size_t> counts;
+  std::vector<TimerId> ids(3);
+  ids[0] = wheel.Register([&] {
+    counts.push_back(wheel.ArmedCount());  // the other two
+    wheel.Arm(ids[0], MsToNs(9));
+    counts.push_back(wheel.ArmedCount());  // self re-armed
+    wheel.Cancel(ids[1]);
+    counts.push_back(wheel.ArmedCount());
+    wheel.Arm(ids[1], MsToNs(8));
+    wheel.Arm(ids[1], MsToNs(7));  // re-arm of an armed timer: no change
+    counts.push_back(wheel.ArmedCount());
+    wheel.Cancel(ids[0]);
+    counts.push_back(wheel.ArmedCount());
+  });
+  ids[1] = wheel.Register([] {});
+  ids[2] = wheel.Register([] {});
+  wheel.Arm(ids[0], MsToNs(1));
+  wheel.Arm(ids[1], MsToNs(2));
+  wheel.Arm(ids[2], MsToNs(3));
+  EXPECT_EQ(wheel.ArmedCount(), 3u);
+  ASSERT_EQ(wheel.NextDeadlineAtMost(MsToNs(1)), MsToNs(1));
+  wheel.RunOne(MsToNs(1));
+  EXPECT_EQ(counts, (std::vector<size_t>{2, 3, 2, 3, 2}));
+  EXPECT_EQ(wheel.ArmedCount(), 2u);
+  EXPECT_EQ(wheel.NextDeadlineAtMost(kTimeInfinity - 1), MsToNs(3));
+}
+
 // ---------------------------------------------------------------------------
-// Differential stress: wheel vs the 4-ary heap, identical dispatch sequences.
+// Differential stress: the band vs the EventQueue, identical dispatch
+// sequences.
 // ---------------------------------------------------------------------------
 
-// One logical timer mirrored across both backends. Deadlines are kept unique
-// so (when) alone fixes the global order in both structures; same-deadline
-// ordering has its own unit test above (the heap breaks such ties by
-// schedule order, the wheel by id — deliberately not comparable under
-// random arm order).
+// One logical timer mirrored across both backends, with each backend's view
+// of it kept apart (callbacks run at different times on the two sides).
+// Deadlines are kept unique so (when) alone fixes the global order in both
+// structures; same-deadline ordering has its own unit tests above (the
+// queue breaks such ties by schedule order, the band by id — deliberately
+// not comparable under random arm order).
 struct MirroredTimer {
   TimerId timer = kInvalidTimerId;
+  TimeNs wheel_deadline = kTimeInfinity;
   EventId event;
-  TimeNs deadline = kTimeInfinity;
-  bool armed = false;
+  TimeNs heap_deadline = kTimeInfinity;
+  bool heap_armed = false;
+};
+
+// What one band callback did to some timer (possibly itself), replayed by
+// the matching queue callback. `was_armed` is the band's Cancel result.
+struct CallbackOp {
+  enum Kind { kNone, kArm, kCancel } kind = kNone;
+  int self = 0;
+  int target = 0;
+  TimeNs when = 0;
+  bool was_armed = false;
 };
 
 TEST(TimerWheelDifferential, RandomOpsMatchHeapBackend) {
@@ -195,56 +333,102 @@ TEST(TimerWheelDifferential, RandomOpsMatchHeapBackend) {
   TimerWheel wheel;
   EventQueue heap;
   Rng rng(0x7EE1);
+  Rng callback_rng(0xCA11);
 
   std::vector<MirroredTimer> timers(kTimers);
   std::vector<std::pair<TimeNs, int>> wheel_fired;
   std::vector<std::pair<TimeNs, int>> heap_fired;
-  std::vector<TimeNs> used_deadlines;
+  std::set<TimeNs> used_deadlines;
+  std::vector<CallbackOp> callback_ops;
+  size_t replayed = 0;
+  bool nested_ops = true;
+
+  auto unique_deadline = [&](TimeNs want) {
+    while (!used_deadlines.insert(want).second) {
+      ++want;
+    }
+    return want;
+  };
+  // Deltas from sub-microsecond to ~70 s: 2^0 .. 2^36 ns.
+  auto random_delta = [](Rng& r) {
+    const int magnitude = static_cast<int>(r.UniformInt(0, 36));
+    return 1 + static_cast<TimeNs>(r.UniformInt(0, (TimeNs{1} << magnitude)));
+  };
+
+  std::function<void(int)> heap_fire;
+  auto heap_arm = [&](int j, TimeNs when) {
+    MirroredTimer& t = timers[static_cast<size_t>(j)];
+    if (t.heap_armed) {
+      EXPECT_TRUE(heap.Cancel(t.event));
+    }
+    t.heap_deadline = when;
+    t.heap_armed = true;
+    t.event = heap.ScheduleAt(when, [&heap_fire, j] { heap_fire(j); });
+  };
+  auto heap_cancel = [&](int j) {
+    MirroredTimer& t = timers[static_cast<size_t>(j)];
+    if (t.heap_armed) {
+      EXPECT_TRUE(heap.Cancel(t.event));
+      t.heap_armed = false;
+    }
+  };
+  heap_fire = [&](int i) {
+    MirroredTimer& t = timers[static_cast<size_t>(i)];
+    heap_fired.emplace_back(t.heap_deadline, i);
+    t.heap_armed = false;
+    ASSERT_LT(replayed, callback_ops.size());
+    const CallbackOp& op = callback_ops[replayed++];
+    ASSERT_EQ(op.self, i);
+    if (op.kind == CallbackOp::kArm) {
+      heap_arm(op.target, op.when);
+    } else if (op.kind == CallbackOp::kCancel) {
+      EXPECT_EQ(timers[static_cast<size_t>(op.target)].heap_armed, op.was_armed);
+      heap_cancel(op.target);
+    }
+  };
 
   for (int i = 0; i < kTimers; ++i) {
-    timers[i].timer = wheel.Register([&, i] {
-      wheel_fired.emplace_back(timers[i].deadline, i);
-      timers[i].armed = false;
+    timers[static_cast<size_t>(i)].timer = wheel.Register([&, i] {
+      const TimeNs now = timers[static_cast<size_t>(i)].wheel_deadline;
+      wheel_fired.emplace_back(now, i);
+      // Act on a random timer (itself included) from inside the callback:
+      // re-arm it without cancelling first, or cancel it.
+      CallbackOp op;
+      op.self = i;
+      const int roll = nested_ops ? static_cast<int>(callback_rng.UniformInt(0, 9)) : 9;
+      op.target = static_cast<int>(callback_rng.UniformInt(0, kTimers - 1));
+      MirroredTimer& target = timers[static_cast<size_t>(op.target)];
+      if (roll < 3) {
+        op.kind = CallbackOp::kArm;
+        op.when = unique_deadline(now + random_delta(callback_rng) - 1);
+        target.wheel_deadline = op.when;
+        wheel.Arm(target.timer, op.when);
+      } else if (roll < 5) {
+        op.kind = CallbackOp::kCancel;
+        op.was_armed = wheel.Cancel(target.timer);
+      }
+      callback_ops.push_back(op);
     });
   }
 
   TimeNs now = 0;
-  auto unique_deadline = [&](TimeNs want) {
-    while (std::find(used_deadlines.begin(), used_deadlines.end(), want) !=
-           used_deadlines.end()) {
-      ++want;
-    }
-    used_deadlines.push_back(want);
-    return want;
-  };
-
   for (int op = 0; op < kOps; ++op) {
     int roll = static_cast<int>(rng.UniformInt(0, 9));
     int i = static_cast<int>(rng.UniformInt(0, kTimers - 1));
-    MirroredTimer& t = timers[i];
+    MirroredTimer& t = timers[static_cast<size_t>(i)];
     if (roll < 5) {
-      // Arm (or re-arm) with a delta spanning sub-bucket to multi-level
-      // distances: 2^0 .. 2^36 ns.
-      int magnitude = static_cast<int>(rng.UniformInt(0, 36));
-      TimeNs delta = 1 + static_cast<TimeNs>(rng.UniformInt(0, (TimeNs{1} << magnitude)));
-      TimeNs when = unique_deadline(now + delta);
-      if (t.armed) {
+      // Arm: half the time cancel first, half the time re-arm in place.
+      TimeNs when = unique_deadline(now + random_delta(rng));
+      if (roll < 2) {
         wheel.Cancel(t.timer);
-        heap.Cancel(t.event);
       }
-      t.deadline = when;
-      t.armed = true;
+      t.wheel_deadline = when;
       wheel.Arm(t.timer, when);
-      t.event = heap.ScheduleAt(when, [&, i] {
-        heap_fired.emplace_back(timers[i].deadline, i);
-      });
+      heap_arm(i, when);
     } else if (roll < 7) {
       // Cancel.
-      if (t.armed) {
-        EXPECT_TRUE(wheel.Cancel(t.timer));
-        EXPECT_TRUE(heap.Cancel(t.event));
-        t.armed = false;
-      }
+      EXPECT_EQ(wheel.Cancel(t.timer), t.heap_armed);
+      heap_cancel(i);
     } else {
       // Advance both backends through the same window.
       TimeNs until = now + static_cast<TimeNs>(rng.UniformInt(0, MsToNs(40)));
@@ -252,16 +436,30 @@ TEST(TimerWheelDifferential, RandomOpsMatchHeapBackend) {
       heap.RunUntil(until);
       now = until;
       ASSERT_EQ(wheel_fired.size(), heap_fired.size()) << "after op " << op;
+      ASSERT_EQ(wheel.ArmedCount(), heap.PendingCount()) << "after op " << op;
     }
   }
-  // Flush everything still pending.
+  // Flush everything still pending; callbacks stop re-arming.
+  nested_ops = false;
   DrainUntil(wheel, kTimeInfinity - 1);
   heap.RunUntil(kTimeInfinity - 1);
 
   ASSERT_EQ(wheel_fired.size(), heap_fired.size());
   EXPECT_EQ(wheel_fired, heap_fired);
+  EXPECT_EQ(replayed, callback_ops.size());
+  size_t nested_arms = 0;
+  size_t nested_cancels = 0;
+  for (const CallbackOp& op : callback_ops) {
+    nested_arms += op.kind == CallbackOp::kArm ? 1 : 0;
+    nested_cancels += op.kind == CallbackOp::kCancel && op.was_armed ? 1 : 0;
+  }
+  // The nested paths must really have been exercised (about 1.5k arms and
+  // 150 effective cancels at this seed).
+  EXPECT_GT(nested_arms, 1000u);
+  EXPECT_GT(nested_cancels, 100u);
   EXPECT_EQ(wheel.ArmedCount(), 0u);
   EXPECT_EQ(heap.PendingCount(), 0u);
+  EXPECT_EQ(wheel.NextDeadlineAtMost(kTimeInfinity - 1), kTimeInfinity);
 }
 
 // The same invariant one level up: Simulation::Every (wheel-backed) against a
