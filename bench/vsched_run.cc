@@ -8,7 +8,8 @@
 // Experiments: fig18_rcvm (default), fig19_hpvm, fig02, all. --fleet PRESET
 // instead sweeps a cluster-scale fleet (docs/CLUSTER.md) head-to-head
 // {cfs, vsched}.
-// JSONL rows go to --out (or stdout); the human report and wall-clock
+// JSONL rows go to --out (or stdout); the human report (each Figure 18/19/2
+// part's table with the paper's reference numbers) and the wall-clock
 // summary go to stdout (or stderr when rows occupy stdout). Rows are
 // byte-identical for any --jobs value. SIGINT drains in-flight runs, flushes
 // every finished row (a valid --resume checkpoint) and exits 130. See
@@ -20,17 +21,20 @@
 #include <chrono>
 #include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "src/base/audit.h"
 #include "src/cluster/fleet_spec.h"
 #include "src/fault/fault_plan.h"
+#include "src/metrics/experiment.h"
 #include "src/runner/report.h"
 #include "src/runner/result_sink.h"
 #include "src/runner/resume.h"
@@ -53,8 +57,8 @@ struct CliOptions {
   uint64_t seed = 0;  // 0: each sweep's built-in default
   std::string out;    // empty: stdout
   std::string filter;
-  long warmup_ms = -1;   // -1: sweep default
-  long measure_ms = -1;  // -1: sweep default
+  int64_t warmup_ms = -1;   // -1: sweep default
+  int64_t measure_ms = -1;  // -1: sweep default
   bool tickless = true;  // --no-tickless: the ticking oracle
   bool timings = false;
   bool audit = false;
@@ -102,19 +106,31 @@ void Usage(std::FILE* out) {
                "                     only the missing/failed cells\n");
 }
 
-// Parses `v` as a whole decimal integer no smaller than `min`; anything else
-// (trailing junk, overflow, a value below `min`) exits 2 rather than being
-// silently read as 0 the way std::atoi would.
-int ParseIntAtLeast(const char* name, const char* v, int min) {
+// Largest --warmup-ms/--measure-ms whose window still fits TimeNs.
+constexpr uint64_t kMaxWindowMs = static_cast<uint64_t>(INT64_MAX / kNsPerMs);
+
+// Parses `v` as a whole non-negative integer in [min, max], in `base` (0 also
+// takes 0x-prefixed hex, for seeds). Anything else (a sign, trailing junk,
+// overflow, a value out of range) exits 2 rather than being silently read as 0
+// or truncated the way std::atol and std::strtoull would.
+uint64_t ParseIntAtLeast(const char* name, const char* v, uint64_t min,
+                         uint64_t max = UINT64_MAX, int base = 10) {
   char* end = nullptr;
   errno = 0;
-  long parsed = std::strtol(v, &end, 10);
-  bool whole = end != v && *end == '\0' && !std::isspace(static_cast<unsigned char>(*v));
-  if (!whole || errno == ERANGE || parsed < min || parsed > INT_MAX) {
-    std::fprintf(stderr, "vsched_run: %s needs an integer >= %d, got '%s'\n", name, min, v);
+  unsigned long long parsed = std::strtoull(v, &end, base);
+  bool whole = std::isdigit(static_cast<unsigned char>(*v)) && *end == '\0';
+  if (!whole || errno == ERANGE || parsed < min || parsed > max) {
+    if (max == UINT64_MAX) {
+      std::fprintf(stderr, "vsched_run: %s needs an integer >= %llu, got '%s'\n", name,
+                   static_cast<unsigned long long>(min), v);
+    } else {
+      std::fprintf(stderr, "vsched_run: %s needs an integer from %llu to %llu, got '%s'\n",
+                   name, static_cast<unsigned long long>(min),
+                   static_cast<unsigned long long>(max), v);
+    }
     std::exit(2);
   }
-  return static_cast<int>(parsed);
+  return parsed;
 }
 
 // Parses argv; returns false (after printing usage) on an unknown flag.
@@ -174,25 +190,25 @@ bool ParseArgs(int argc, char** argv, CliOptions& cli) {
     } else if (take("--fault-plan")) {
       cli.fault_plan = v;
     } else if (take("--event-budget")) {
-      cli.event_budget = std::strtoull(v, nullptr, 0);
+      cli.event_budget = ParseIntAtLeast("--event-budget", v, 0);
     } else if (take("--shards")) {
-      cli.shards = ParseIntAtLeast("--shards", v, 1);
+      cli.shards = static_cast<int>(ParseIntAtLeast("--shards", v, 1, INT_MAX));
     } else if (take("--resume")) {
       cli.resume = v;
     } else if (take("--experiment")) {
       cli.experiment = v;
     } else if (take("--jobs")) {
-      cli.jobs = ParseIntAtLeast("--jobs", v, 0);
+      cli.jobs = static_cast<int>(ParseIntAtLeast("--jobs", v, 0, INT_MAX));
     } else if (take("--seed")) {
-      cli.seed = std::strtoull(v, nullptr, 0);
+      cli.seed = ParseIntAtLeast("--seed", v, 0, UINT64_MAX, 0);
     } else if (take("--out")) {
       cli.out = v;
     } else if (take("--filter")) {
       cli.filter = v;
     } else if (take("--warmup-ms")) {
-      cli.warmup_ms = std::atol(v);
+      cli.warmup_ms = static_cast<int64_t>(ParseIntAtLeast("--warmup-ms", v, 0, kMaxWindowMs));
     } else if (take("--measure-ms")) {
-      cli.measure_ms = std::atol(v);
+      cli.measure_ms = static_cast<int64_t>(ParseIntAtLeast("--measure-ms", v, 0, kMaxWindowMs));
     } else {
       std::fprintf(stderr, "vsched_run: unknown flag %s\n", arg.c_str());
       Usage(stderr);
@@ -253,6 +269,46 @@ ExperimentSpec BuildSweep(const CliOptions& cli) {
   }
   sweep.Filter(cli.filter);
   return sweep;
+}
+
+// The paper figure each experiment part reproduces: a banner, the figure's
+// table over that part's executed runs, and the paper's reference numbers.
+void PrintFigureReports(const std::vector<RunResult>& results, std::FILE* out) {
+  struct Figure {
+    ExperimentFamily family;
+    const char* id;
+    const char* title;
+    const char* vm;  // PrintOverallReport's banner id; nullptr: the Figure 2 report
+    const char* paper;
+  };
+  static const Figure kFigures[] = {
+      {ExperimentFamily::kOverallRcvm, "Figure 18",
+       "rcvm: CFS vs enhanced CFS vs vSched (31 workloads)", "rcvm",
+       "Paper (Fig 18): enhanced CFS 1.4x lower latency / +59% throughput;\n"
+       "vSched 1.6x lower latency / +69% throughput on average vs CFS."},
+      {ExperimentFamily::kOverallHpvm, "Figure 19",
+       "hpvm: CFS vs enhanced CFS vs vSched (31 workloads)", "hpvm",
+       "Paper (Fig 19): enhanced CFS 1.5x lower latency / +13% throughput;\n"
+       "vSched 2.3x lower latency / +18% throughput on average vs CFS."},
+      {ExperimentFamily::kVcpuLatency, "Figure 2",
+       "Impact of vCPU latency on p95 tail latency (normalized to 16 ms)", nullptr,
+       "Paper: p95 grows up to ~20x from 2 ms to 16 ms vCPU latency."},
+  };
+  for (const Figure& figure : kFigures) {
+    std::vector<RunResult> part;
+    std::copy_if(results.begin(), results.end(), std::back_inserter(part),
+                 [&](const RunResult& result) { return result.spec.family == figure.family; });
+    if (part.empty()) {
+      continue;
+    }
+    PrintBanner(figure.id, figure.title, out);
+    if (figure.vm != nullptr) {
+      PrintOverallReport(figure.vm, part, out);
+    } else {
+      PrintVcpuLatencyReport(part, out);
+    }
+    std::fprintf(out, "\n%s\n", figure.paper);
+  }
 }
 
 }  // namespace
@@ -369,6 +425,7 @@ int main(int argc, char** argv) {
   }
   rows->flush();
 
+  PrintFigureReports(results, human);
   PrintRunSummary(results, elapsed.count(), human);
   if (interrupted) {
     std::fprintf(human, "interrupted: partial results flushed; rerun with --resume %s\n",

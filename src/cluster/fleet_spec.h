@@ -141,8 +141,9 @@ struct FleetSpec {
 // Canned presets, smallest to largest:
 //   tiny  —    4 hosts,   10 VMs x 2 vCPU (CI smoke / determinism ctest)
 //   small —   16 hosts,   48 VMs x 4 vCPU
-//   rack  —   64 hosts,  256 VMs x 4 vCPU (bench_perf_core fleet_small_sharded)
-//   dc    — 1000 hosts, 4000 VMs x 4 vCPU (the headline scale target)
+//   rack  —   64 hosts,  256 VMs x 4 vCPU (CI's sharded tickless byte-compare)
+//   dc    — 1000 hosts, 4000 VMs x 4 vCPU (the headline scale target; perfbench
+//           fleet_dc)
 bool LookupFleetSpec(const std::string& name, FleetSpec* spec);
 std::vector<std::string> FleetSpecNames();
 

@@ -292,7 +292,7 @@ RunMetrics ExecuteOverallRun(const RunSpec& spec) {
   return metrics;
 }
 
-// Figure 2 protocol (previously inline in bench_fig02_vcpu_latency): a flat
+// Figure 2 protocol (vsched_run --experiment fig02): a flat
 // 32-vCPU VM time-sharing every core with a stressor; the host granularity
 // knobs shape how long a runnable vCPU waits for the competitor's slice —
 // i.e. the vCPU latency — without changing capacity.

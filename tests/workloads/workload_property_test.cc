@@ -1,6 +1,8 @@
 // Property tests on the workload models: throughput scaling, queueing
 // sanity, pipeline bottleneck laws, closed-loop conservation, and catalog
 // coverage under both reference VMs.
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "src/guest/vm.h"
@@ -116,6 +118,12 @@ struct PipelineCase {
   TimeNs bottleneck;
   int workers;
 };
+
+// Names each case by its fields. Without this gtest prints the raw bytes,
+// padding included, so ctest case names changed on every discovery.
+void PrintTo(const PipelineCase& c, std::ostream* os) {
+  *os << "bottleneck_ns=" << c.bottleneck << ",workers=" << c.workers;
+}
 
 class PipelineBottleneck : public ::testing::TestWithParam<PipelineCase> {};
 
