@@ -29,12 +29,8 @@ bool Bvs::AcceptableVcpu(const GuestVcpu& v, double median_cap, double median_la
     // Empty runqueue: low latency + prolonged idleness → wakes up quickly.
     return low_latency && (now - v.idle_since()) >= config_.min_idle_time;
   }
-  bool only_idle_queue =
-      (v.current() == nullptr || v.current()->policy() == TaskPolicy::kIdle) &&
-      (v.rq().empty() || v.rq().OnlyIdleTasks());
-  if (!only_idle_queue) {
-    return false;  // Normal work present: placing here would queue behind it.
-  }
+  // Otherwise the vCPU runs or queues only sched_idle work (the caller scans
+  // placement-idle vCPUs only: normal work would make the task queue).
   if (!config_.check_state) {
     // Ablation (Table 3): ignore the vCPU state, accept on latency alone.
     return low_latency;
@@ -74,12 +70,10 @@ int Bvs::SelectVcpu(Task* task, int prev_cpu, int waker_cpu) {
   int start = rotor_;
   rotor_ = (rotor_ + 1) % n;
   // First-fit over an aggressive, domain-unconstrained scan (§3.2: bvs is
-  // not limited to the preferred LLC domain).
-  for (int k = 0; k < n; ++k) {
-    int cpu = (start + k) % n;
-    if (!allowed.Test(cpu)) {
-      continue;
-    }
+  // not limited to the preferred LLC domain). A vCPU with normal work
+  // running or queued is never acceptable, so only placement-idle vCPUs
+  // are visited.
+  for (int cpu : (allowed & kernel_->placement_idle_mask()).RotatedFrom(start)) {
     if (AcceptableVcpu(kernel_->vcpu(cpu), median_cap, median_lat)) {
       ++placements_;
       return cpu;

@@ -43,6 +43,8 @@ class Bvs {
   uint64_t fallbacks() const { return fallbacks_; }
 
  private:
+  // The Figure 8 test for one placement-idle vCPU (see
+  // GuestKernel::placement_idle_mask()).
   bool AcceptableVcpu(const GuestVcpu& v, double median_cap, double median_lat);
 
   GuestKernel* kernel_;

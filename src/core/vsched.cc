@@ -1,6 +1,7 @@
 #include "src/core/vsched.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "src/guest/guest_kernel.h"
 #include "src/sim/simulation.h"
@@ -108,6 +109,7 @@ void VSched::PublishCapacities() {
   const bool pessimistic =
       options_.robust.enabled && degradation_.IsDegraded(DegradedComponent::kCapacity);
   const double median = pessimistic ? vcap_->MedianCapacity() : 0.0;
+  std::vector<double> caps(static_cast<size_t>(kernel_->num_vcpus()));
   for (int i = 0; i < kernel_->num_vcpus(); ++i) {
     double cap = vcap_->CapacityOf(i);
     if (pessimistic && vcap_->ConfidenceOf(i) < options_.robust.low_confidence) {
@@ -123,8 +125,9 @@ void VSched::PublishCapacities() {
       // (vcap substitutes the sample); count the containment here too.
       ++pessimistic_publishes_;
     }
-    kernel_->SetCapacityOverride(i, cap);
+    caps[static_cast<size_t>(i)] = cap;
   }
+  kernel_->SetCapacityOverrides(caps);
 }
 
 void VSched::EvaluateDegradation() {

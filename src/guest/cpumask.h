@@ -48,6 +48,12 @@ class CpuMask {
     return masked == 0 ? -1 : std::countr_zero(masked);
   }
 
+  // First set bit in rotated order from `start` (see RotatedFrom), or -1.
+  int FirstFrom(int start) const {
+    int cpu = NextFrom(start);
+    return cpu >= 0 ? cpu : First();
+  }
+
   friend CpuMask operator&(CpuMask a, CpuMask b) { return CpuMask(a.bits_ & b.bits_); }
   friend CpuMask operator|(CpuMask a, CpuMask b) { return CpuMask(a.bits_ | b.bits_); }
   friend CpuMask operator~(CpuMask a) { return CpuMask(~a.bits_); }
@@ -69,6 +75,46 @@ class CpuMask {
   };
   Iterator begin() const { return Iterator(bits_); }
   Iterator end() const { return Iterator(0); }
+
+  // Rotated iteration, the order of the kernel's wrapping scans
+  // (for k in 0..n-1: cpu = (start + k) % n): the set bits >= start
+  // ascending, then the set bits < start ascending.
+  //   for (int cpu : mask.RotatedFrom(start)) { ... }
+  class RotatedIterator {
+   public:
+    RotatedIterator(uint64_t run, uint64_t rest)
+        : run_(run == 0 ? rest : run), rest_(run == 0 ? 0 : rest) {}
+    int operator*() const { return std::countr_zero(run_); }
+    RotatedIterator& operator++() {
+      run_ &= run_ - 1;
+      if (run_ == 0) {
+        run_ = rest_;
+        rest_ = 0;
+      }
+      return *this;
+    }
+    bool operator!=(const RotatedIterator& other) const {
+      return run_ != other.run_ || rest_ != other.rest_;
+    }
+
+   private:
+    uint64_t run_;   // bits still to visit in the current run
+    uint64_t rest_;  // the wrapped run, visited once run_ drains
+  };
+  class RotatedRange {
+   public:
+    RotatedRange(uint64_t high, uint64_t low) : high_(high), low_(low) {}
+    RotatedIterator begin() const { return RotatedIterator(high_, low_); }
+    RotatedIterator end() const { return RotatedIterator(0, 0); }
+
+   private:
+    uint64_t high_;
+    uint64_t low_;
+  };
+  RotatedRange RotatedFrom(int start) const {
+    uint64_t below = FirstN(start).bits_;
+    return RotatedRange(bits_ & ~below, bits_ & below);
+  }
 
  private:
   uint64_t bits_ = 0;

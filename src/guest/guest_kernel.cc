@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "src/base/audit.h"
 #include "src/base/check.h"
 #include "src/base/decay.h"
 #include "src/base/log.h"
@@ -16,6 +17,27 @@ namespace {
 
 // Class rank for preemption: normal tasks strictly dominate SCHED_IDLE.
 int ClassRank(const Task* t) { return t->policy() == TaskPolicy::kNormal ? 1 : 0; }
+
+// Asymmetry test over the published overrides (<0 → none).
+bool OverridesAsymmetric(const std::vector<double>& overrides, double ratio) {
+  double min_cap = -1;
+  double max_cap = -1;
+  for (double c : overrides) {
+    if (c < 0) {
+      continue;
+    }
+    if (min_cap < 0 || c < min_cap) {
+      min_cap = c;
+    }
+    if (c > max_cap) {
+      max_cap = c;
+    }
+  }
+  if (min_cap < 0) {
+    return false;
+  }
+  return max_cap > std::max(1.0, min_cap) * ratio;
+}
 
 }  // namespace
 
@@ -38,6 +60,8 @@ GuestKernel::GuestKernel(Simulation* sim, HostMachine* machine, std::vector<Vcpu
   }
   topology_ = GuestTopology::FlatUma(n);
   capacity_override_.assign(n, -1.0);
+  idle_ = CpuMask::FirstN(n);
+  placement_idle_ = CpuMask::FirstN(n);
   tick_timers_.reserve(static_cast<size_t>(n));
   tick_origins_.reserve(static_cast<size_t>(n));
   std::vector<std::pair<TimerId, TimeNs>> arm_batch;
@@ -226,45 +250,11 @@ CpuMask GuestKernel::EffectiveAllowed(const Task* task) const {
   return m;
 }
 
-namespace {
-
-// Placement-idleness: like Linux's sched_idle_cpu(), a vCPU running only
-// SCHED_IDLE work counts as idle for wake placement — a waking fair task
-// preempts best-effort work immediately.
-bool IdleForPlacement(const GuestVcpu& v, TaskPolicy policy) {
-  (void)policy;
-  if (v.IsIdle()) {
-    return true;
-  }
-  bool current_idle = v.current() == nullptr || v.current()->policy() == TaskPolicy::kIdle;
-  return current_idle && (v.rq().empty() || v.rq().OnlyIdleTasks());
-}
-
-}  // namespace
-
 int GuestKernel::ScanForIdle(CpuMask domain, bool want_idle_core, int scan_from) {
-  int n = num_vcpus();
-  for (int k = 0; k < n; ++k) {
-    int cpu = (scan_from + k) % n;
-    if (!domain.Test(cpu)) {
-      continue;
+  for (int cpu : (domain & idle_).RotatedFrom(scan_from)) {
+    if (!want_idle_core || (topology_.smt_mask[cpu] & ~idle_).Empty()) {
+      return cpu;
     }
-    if (!vcpus_[cpu]->IsIdle()) {
-      continue;
-    }
-    if (want_idle_core) {
-      bool core_idle = true;
-      for (int sib : topology_.smt_mask[cpu]) {
-        if (!vcpus_[sib]->IsIdle()) {
-          core_idle = false;
-          break;
-        }
-      }
-      if (!core_idle) {
-        continue;
-      }
-    }
-    return cpu;
   }
   return -1;
 }
@@ -293,18 +283,17 @@ int GuestKernel::SelectTaskRqCfs(Task* task, int prev_cpu, int waker_cpu) {
   scan_rotor_ = (scan_rotor_ + 7) % std::max(1, num_vcpus());
 
   // Asymmetric-capacity path (select_idle_capacity): scan for the first
-  // idle vCPU whose capacity fits the task's utilization; remember the
-  // strongest seen as a fallback. Enabled only when the topology declares
-  // asymmetric capacities — i.e. when vcap published them.
-  if (AsymCapacityKnown()) {
+  // placement-idle vCPU whose capacity fits the task's utilization;
+  // remember the strongest seen as a fallback. Enabled only when the
+  // topology declares asymmetric capacities — i.e. when vcap published them.
+  // Placement-idleness is Linux's sched_idle_cpu(): a vCPU running only
+  // SCHED_IDLE work counts as idle, since a waking fair task preempts
+  // best-effort work immediately.
+  if (asym_known_) {
     double need = task->UtilAt(sim_->now()) * 1.2;
     int best = -1;
     double best_cap = 0;
-    for (int k = 0; k < num_vcpus(); ++k) {
-      int cpu = (scan_from + k) % num_vcpus();
-      if (!allowed.Test(cpu) || !IdleForPlacement(*vcpus_[cpu], task->policy())) {
-        continue;
-      }
+    for (int cpu : (allowed & placement_idle_).RotatedFrom(scan_from)) {
       double c = CfsCapacityOf(cpu);
       if (c >= need) {
         return cpu;
@@ -330,11 +319,9 @@ int GuestKernel::SelectTaskRqCfs(Task* task, int prev_cpu, int waker_cpu) {
     return cpu;
   }
   // Pass 2b: SCHED_IDLE-only queues count as idle for placement.
-  for (int k = 0; k < num_vcpus(); ++k) {
-    int c = (scan_from + k) % num_vcpus();
-    if (domain.Test(c) && IdleForPlacement(*vcpus_[c], task->policy())) {
-      return c;
-    }
+  cpu = (domain & placement_idle_).FirstFrom(scan_from);
+  if (cpu >= 0) {
+    return cpu;
   }
   // Pass 3: least-loaded (normalized by capacity) in the domain.
   int best = target;
@@ -377,6 +364,7 @@ void GuestKernel::EnqueueTask(Task* task, int cpu, bool wakeup, int waker_cpu) {
   task->vdeadline_ = task->vruntime_ + static_cast<double>(params_->min_granularity) *
                                            (kCapacityScale / task->weight());
   v.rq_.Enqueue(task);
+  RefreshOccupancy(cpu);
 
   bool was_halted = !v.thread()->wants_to_run();
   if (was_halted && waker_cpu >= 0 && waker_cpu != cpu) {
@@ -474,6 +462,7 @@ bool GuestKernel::MigrateQueuedTask(Task* task, int to_cpu) {
     return true;
   }
   from.rq_.Dequeue(task);
+  RefreshOccupancy(from.index());
   from.UpdateHostDemand();
   EnqueueTask(task, to_cpu, /*wakeup=*/false, /*waker_cpu=*/-1);
   return true;
@@ -519,30 +508,80 @@ double GuestKernel::CfsCapacityOf(int cpu) const {
 void GuestKernel::SetCapacityOverride(int cpu, double capacity) {
   VSCHED_CHECK(cpu >= 0 && cpu < num_vcpus());
   capacity_override_[cpu] = capacity;
+  RecomputeAsymCapacity();
+}
+
+void GuestKernel::SetCapacityOverrides(const std::vector<double>& capacities) {
+  VSCHED_CHECK(capacities.size() == capacity_override_.size());
+  capacity_override_ = capacities;
+  RecomputeAsymCapacity();
 }
 
 void GuestKernel::ClearCapacityOverrides() {
   std::fill(capacity_override_.begin(), capacity_override_.end(), -1.0);
+  RecomputeAsymCapacity();
 }
 
-bool GuestKernel::AsymCapacityKnown() const {
-  double min_cap = -1;
-  double max_cap = -1;
-  for (double c : capacity_override_) {
-    if (c < 0) {
-      continue;
+void GuestKernel::RecomputeAsymCapacity() {
+  asym_known_ = OverridesAsymmetric(capacity_override_, params_->asym_capacity_ratio);
+  if (audit::Enabled()) {
+    AuditVerify();
+  }
+}
+
+void GuestKernel::RefreshOccupancy(int cpu) {
+  const GuestVcpu& v = *vcpus_[cpu];
+  const bool normal_queued = v.rq_.normal_count() > 0;
+  const bool idle_current = v.current_ == nullptr || v.current_->policy() == TaskPolicy::kIdle;
+  auto assign = [cpu](CpuMask& mask, bool on) {
+    if (on) {
+      mask.Set(cpu);
+    } else {
+      mask.Clear(cpu);
     }
-    if (min_cap < 0 || c < min_cap) {
-      min_cap = c;
+  };
+  assign(idle_, v.current_ == nullptr && v.rq_.empty());
+  assign(placement_idle_, idle_current && !normal_queued);
+  assign(queued_normal_, normal_queued);
+  assign(queued_idle_, v.rq_.idle_count() > 0);
+  if (audit::Enabled()) {
+    AuditVerify();
+  }
+}
+
+void GuestKernel::AuditVerify() const {
+  CpuMask idle;
+  CpuMask placement_idle;
+  CpuMask queued_normal;
+  CpuMask queued_idle;
+  for (const auto& vp : vcpus_) {
+    const GuestVcpu& v = *vp;
+    const int cpu = v.index();
+    if (v.IsIdle()) {
+      idle.Set(cpu);
     }
-    if (c > max_cap) {
-      max_cap = c;
+    const bool current_idle =
+        v.current() == nullptr || v.current()->policy() == TaskPolicy::kIdle;
+    if (current_idle && (v.rq().empty() || v.rq().OnlyIdleTasks())) {
+      placement_idle.Set(cpu);
+    }
+    if (v.rq().normal_count() > 0) {
+      queued_normal.Set(cpu);
+    }
+    if (v.rq().idle_count() > 0) {
+      queued_idle.Set(cpu);
     }
   }
-  if (min_cap < 0) {
-    return false;
-  }
-  return max_cap > std::max(1.0, min_cap) * params_->asym_capacity_ratio;
+  VSCHED_AUDIT_CHECK(idle_ == idle, "guest kernel: idle mask disagrees with the vCPUs");
+  VSCHED_AUDIT_CHECK(placement_idle_ == placement_idle,
+                     "guest kernel: placement-idle mask disagrees with the vCPUs");
+  VSCHED_AUDIT_CHECK(queued_normal_ == queued_normal,
+                     "guest kernel: queued-normal mask disagrees with the runqueues");
+  VSCHED_AUDIT_CHECK(queued_idle_ == queued_idle,
+                     "guest kernel: queued-idle mask disagrees with the runqueues");
+  VSCHED_AUDIT_CHECK(
+      asym_known_ == OverridesAsymmetric(capacity_override_, params_->asym_capacity_ratio),
+      "guest kernel: cached asym-capacity flag disagrees with the overrides");
 }
 
 void GuestKernel::RebuildSchedDomains(const GuestTopology& topo) {
@@ -688,7 +727,7 @@ void GuestKernel::CfsTick(GuestVcpu* v, TimeNs now) {
 }
 
 void GuestKernel::MisfitCheck(GuestVcpu* v, TimeNs now) {
-  if (!AsymCapacityKnown()) {
+  if (!asym_known_) {
     return;  // No declared capacity asymmetry → no misfit path (Linux).
   }
   Task* curr = v->current_;
@@ -702,13 +741,11 @@ void GuestKernel::MisfitCheck(GuestVcpu* v, TimeNs now) {
       params_->misfit_util_fraction * cap) {
     return;
   }
-  CpuMask allowed = EffectiveAllowed(curr);
+  CpuMask targets = EffectiveAllowed(curr) & idle_;
+  targets.Clear(v->index());
   int best = -1;
   double best_cap = cap * params_->misfit_capacity_margin;
-  for (int c : allowed) {
-    if (c == v->index() || !vcpus_[c]->IsIdle()) {
-      continue;
-    }
+  for (int c : targets) {
     double cc = CfsCapacityOf(c);
     if (cc > best_cap) {
       best_cap = cc;
@@ -766,14 +803,9 @@ void GuestKernel::PeriodicBalance(GuestVcpu* v, TimeNs now) {
           now - t->last_migration_time_ < params_->migration_cooldown) {
         continue;
       }
-      CpuMask allowed = EffectiveAllowed(t);
-      int dest = -1;
-      for (int c : allowed) {
-        if (c != v->index() && vcpus_[c]->IsIdle()) {
-          dest = c;
-          break;
-        }
-      }
+      CpuMask targets = EffectiveAllowed(t) & idle_;
+      targets.Clear(v->index());
+      int dest = targets.First();
       if (dest >= 0) {
         MigrateQueuedTask(t, dest);
         return;
@@ -797,11 +829,9 @@ void GuestKernel::PeriodicBalance(GuestVcpu* v, TimeNs now) {
     return;
   }
   double my_cap = CfsCapacityOf(v->index());
-  CpuMask allowed = EffectiveAllowed(curr);
-  for (int c : allowed) {
-    if (c == v->index() || !vcpus_[c]->IsIdle()) {
-      continue;
-    }
+  CpuMask targets = EffectiveAllowed(curr) & idle_;
+  targets.Clear(v->index());
+  for (int c : targets) {
     if (CfsCapacityOf(c) > my_cap * params_->imbalance_pct) {
       v->next_active_balance_ = now + params_->active_balance_interval;
       MigrateRunningTask(curr, v->index(), c);
@@ -813,27 +843,25 @@ void GuestKernel::PeriodicBalance(GuestVcpu* v, TimeNs now) {
 bool GuestKernel::TryPullInto(GuestVcpu* v, CpuMask domain, bool idle_pull, TimeNs now) {
   (void)now;
   int me = v->index();
-  double my_load = v->rq_.load();
-  if (v->current_ != nullptr && v->current_->policy() == TaskPolicy::kNormal) {
-    my_load += v->current_->weight();
-  }
-  double my_ratio = my_load / std::max(1.0, CfsCapacityOf(me));
+  // Normal load per unit of CFS capacity. Pure, so it is evaluated only
+  // where a decision needs it.
+  auto load_ratio = [this](const GuestVcpu& u) {
+    double load = u.rq_.load();
+    if (u.current_ != nullptr && u.current_->policy() == TaskPolicy::kNormal) {
+      load += u.current_->weight();
+    }
+    return load / std::max(1.0, CfsCapacityOf(u.index()));
+  };
 
+  // Only vCPUs with queued normal work have anything stealable (the running
+  // task is not pulled here).
+  CpuMask sources = domain & queued_normal_;
+  sources.Clear(me);
   GuestVcpu* busiest = nullptr;
   double busiest_ratio = 0;
-  for (int c : domain) {
-    if (c == me) {
-      continue;
-    }
+  for (int c : sources) {
     GuestVcpu* src = vcpus_[c].get();
-    if (src->rq_.normal_count() == 0) {
-      continue;  // Nothing stealable (running task is not pulled here).
-    }
-    double load = src->rq_.load();
-    if (src->current_ != nullptr && src->current_->policy() == TaskPolicy::kNormal) {
-      load += src->current_->weight();
-    }
-    double ratio = load / std::max(1.0, CfsCapacityOf(c));
+    double ratio = load_ratio(*src);
     if (ratio > busiest_ratio) {
       busiest_ratio = ratio;
       busiest = src;
@@ -841,7 +869,8 @@ bool GuestKernel::TryPullInto(GuestVcpu* v, CpuMask domain, bool idle_pull, Time
   }
 
   if (busiest != nullptr) {
-    bool imbalanced = idle_pull || busiest_ratio > my_ratio * params_->imbalance_pct + 1e-9;
+    bool imbalanced =
+        idle_pull || busiest_ratio > load_ratio(*v) * params_->imbalance_pct + 1e-9;
     if (imbalanced) {
       // Steal the task with the largest vruntime (coldest cache, CFS-style
       // detach from the tail) that is allowed here.
@@ -872,14 +901,10 @@ bool GuestKernel::TryPullInto(GuestVcpu* v, CpuMask domain, bool idle_pull, Time
   // Idle pull of best-effort tasks: a completely idle vCPU may harvest a
   // queued SCHED_IDLE task so best-effort work spreads.
   if (idle_pull && v->IsIdle()) {
-    for (int c : domain) {
-      if (c == me) {
-        continue;
-      }
+    CpuMask idle_sources = domain & queued_idle_;
+    idle_sources.Clear(me);
+    for (int c : idle_sources) {
       GuestVcpu* src = vcpus_[c].get();
-      if (src->rq_.idle_count() == 0) {
-        continue;
-      }
       Task* pick = nullptr;
       src->rq_.ForEach([&](Task* t) {
         if (t->policy() == TaskPolicy::kIdle && EffectiveAllowed(t).Test(me)) {

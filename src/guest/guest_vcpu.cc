@@ -168,6 +168,8 @@ void GuestVcpu::Dispatch(Task* next, TimeNs now) {
                      static_cast<double>(kernel_->params().min_granularity) *
                          (kCapacityScale / next->weight());
   current_ = next;
+  // Covers the runqueue Dequeue that always precedes a Dispatch too.
+  kernel_->RefreshOccupancy(index_);
   NotifyWatchers(now);
   kernel_->counters().context_switches.Inc();
   UpdateHostDemand();
@@ -190,6 +192,7 @@ void GuestVcpu::PutCurrent(TimeNs now, bool requeue) {
     prev->pelt_->Update(now, /*active=*/false);
     rq_.Enqueue(prev);
   }
+  kernel_->RefreshOccupancy(index_);
 }
 
 void GuestVcpu::Reschedule(TimeNs now) {

@@ -50,7 +50,8 @@ class GuestVcpu : public VcpuHostClient {
 
   int index() const { return index_; }
   VcpuThread* thread() const { return thread_; }
-  Runqueue& rq() { return rq_; }
+  // Read-only: the runqueue changes only through the kernel, which keeps its
+  // occupancy masks in step.
   const Runqueue& rq() const { return rq_; }
   Task* current() const { return current_; }
 

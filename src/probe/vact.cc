@@ -98,6 +98,7 @@ void Vact::OnWindowEnd() {
   }
   TimeNs now = sim_->now();
   double window = static_cast<double>(now - window_start_);
+  median_latency_dirty_ = true;  // the loop below feeds latency_ema_
   for (int i = 0; i < kernel_->num_vcpus(); ++i) {
     TimeNs steal_now = kernel_->vcpu(i).StealClock(now);
     double steal = static_cast<double>(steal_now - window_start_steal_[i]);
@@ -182,6 +183,9 @@ double Vact::ActivePeriodOf(int cpu) const {
 }
 
 double Vact::MedianLatency() const {
+  if (!median_latency_dirty_) {
+    return median_latency_;
+  }
   std::vector<double> v;
   for (const Ema& e : latency_ema_) {
     if (e.has_value()) {
@@ -189,10 +193,13 @@ double Vact::MedianLatency() const {
     }
   }
   if (v.empty()) {
-    return 0.0;
+    median_latency_ = 0.0;
+  } else {
+    std::sort(v.begin(), v.end());
+    median_latency_ = v[(v.size() - 1) / 2];
   }
-  std::sort(v.begin(), v.end());
-  return v[(v.size() - 1) / 2];
+  median_latency_dirty_ = false;
+  return median_latency_;
 }
 
 double Vact::ConfidenceOf(int cpu) const {

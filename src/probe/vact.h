@@ -104,6 +104,10 @@ class Vact {
   std::vector<TimeNs> window_start_steal_;
   TimeNs window_start_ = 0;
   std::vector<Ema> latency_ema_;
+  // MedianLatency() cache (bvs reads it on every wakeup); dirtied by every
+  // change to latency_ema_.
+  mutable double median_latency_ = 0;
+  mutable bool median_latency_dirty_ = true;
   std::vector<Ema> active_period_ema_;
   std::vector<ConfidenceTracker> confidence_;
   std::vector<int> window_drops_;  // tick samples dropped this window

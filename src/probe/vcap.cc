@@ -153,6 +153,7 @@ void Vcap::EndWindow() {
   TimeNs now = sim_->now();
   double window = static_cast<double>(now - window_start_);
 
+  median_capacity_dirty_ = true;  // the loop below feeds capacity_ema_
   for (int i = 0; i < kernel_->num_vcpus(); ++i) {
     if (skip_mask_.Test(i)) {
       continue;
@@ -297,6 +298,9 @@ double Vcap::MedianConfidence() const {
 }
 
 double Vcap::MedianCapacity() const {
+  if (!median_capacity_dirty_) {
+    return median_capacity_;
+  }
   std::vector<double> caps;
   for (int i = 0; i < static_cast<int>(capacity_ema_.size()); ++i) {
     if (!skip_mask_.Test(i) && capacity_ema_[i].has_value()) {
@@ -304,10 +308,13 @@ double Vcap::MedianCapacity() const {
     }
   }
   if (caps.empty()) {
-    return kCapacityScale;
+    median_capacity_ = kCapacityScale;
+  } else {
+    std::sort(caps.begin(), caps.end());
+    median_capacity_ = caps[(caps.size() - 1) / 2];
   }
-  std::sort(caps.begin(), caps.end());
-  return caps[(caps.size() - 1) / 2];
+  median_capacity_dirty_ = false;
+  return median_capacity_;
 }
 
 }  // namespace vsched

@@ -82,7 +82,10 @@ class Vcap {
   double MedianConfidence() const;
 
   // Skips probing on these vCPUs (rwc bans stack-banned vCPUs from vcap).
-  void SetSkipMask(CpuMask mask) { skip_mask_ = mask; }
+  void SetSkipMask(CpuMask mask) {
+    skip_mask_ = mask;
+    median_capacity_dirty_ = true;
+  }
 
   // ---- Anti-evasion hardening (robust.enabled only) ----
   // The steal fraction observed *between* the two most recent windows — the
@@ -145,6 +148,10 @@ class Vcap {
   int quarantine_events_ = 0;
 
   std::vector<Ema> capacity_ema_;
+  // MedianCapacity() cache (bvs reads it on every wakeup); dirtied by every
+  // change to capacity_ema_ or skip_mask_.
+  mutable double median_capacity_ = 0;
+  mutable bool median_capacity_dirty_ = true;
   std::vector<ConfidenceTracker> confidence_;
   std::vector<double> core_capacity_;  // last heavy-phase core capacity
   std::vector<VcapSample> last_samples_;

@@ -9,12 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/base/audit.h"
 #include "src/base/time.h"
+#include "src/guest/guest_kernel.h"
 #include "src/guest/runqueue.h"
 #include "src/guest/task.h"
 #include "src/guest/vm.h"
@@ -111,6 +113,18 @@ struct AuditTestAccess {
     w.Place(0, w.heap_[last]);
     w.Place(last, root);
   }
+
+  // ---- GuestKernel occupancy-mask backdoors ----
+
+  static void FlipIdleMaskBit(GuestKernel& k, int cpu) {
+    k.idle_ = CpuMask(k.idle_.bits() ^ CpuMask::Single(cpu).bits());
+  }
+
+  static void FlipQueuedIdleMaskBit(GuestKernel& k, int cpu) {
+    k.queued_idle_ = CpuMask(k.queued_idle_.bits() ^ CpuMask::Single(cpu).bits());
+  }
+
+  static void FlipAsymKnown(GuestKernel& k) { k.asym_known_ = !k.asym_known_; }
 };
 
 namespace {
@@ -379,6 +393,61 @@ TEST_F(AuditTest, WheelCorruptionFiresFromTheRunLoopHook) {
   EXPECT_GT(near_fires, 1);
   EXPECT_GT(audit::ViolationCount(), 0u);
   EXPECT_TRUE(AnyViolationContains("heap key disagrees with its timer's deadline"));
+}
+
+TEST_F(AuditTest, CleanGuestMaskChurnReportsNothing) {
+  Simulation sim(3);
+  TopologySpec spec;
+  spec.sockets = 1;
+  spec.cores_per_socket = 2;
+  spec.threads_per_core = 2;
+  HostMachine machine(&sim, spec);
+  Vm vm(&sim, &machine, MakeSimpleVmSpec("vm", 4));
+  GuestKernel& k = vm.kernel();
+  k.SetCapacityOverrides({1024.0, 512.0, 1024.0, 700.0});
+  std::vector<std::unique_ptr<PeriodicBehavior>> behaviors;
+  for (int i = 0; i < 6; ++i) {
+    behaviors.push_back(std::make_unique<PeriodicBehavior>(
+        WorkAtCapacity(kCapacityScale, UsToNs(400 + 100 * i)), UsToNs(300)));
+    k.StartTask(k.CreateTask("p", i % 2 == 0 ? TaskPolicy::kNormal : TaskPolicy::kIdle,
+                             behaviors.back().get()));
+  }
+  sim.RunFor(MsToNs(20));
+  k.ClearCapacityOverrides();
+  sim.RunFor(MsToNs(5));
+  k.AuditVerify();
+  EXPECT_EQ(audit::ViolationCount(), 0u);
+}
+
+TEST_F(AuditTest, GuestIdleMaskCorruptionIsCaught) {
+  Simulation sim(4);
+  HostMachine machine(&sim, TopologySpec{});
+  Vm vm(&sim, &machine, MakeSimpleVmSpec("vm", 2));
+  AuditTestAccess::FlipIdleMaskBit(vm.kernel(), 1);
+  vm.kernel().AuditVerify();
+  EXPECT_TRUE(AnyViolationContains("guest kernel: idle mask"));
+}
+
+TEST_F(AuditTest, GuestMaskCorruptionFiresFromTheRefreshHook) {
+  Simulation sim(5);
+  HostMachine machine(&sim, TopologySpec{});
+  Vm vm(&sim, &machine, MakeSimpleVmSpec("vm", 2));
+  GuestKernel& k = vm.kernel();
+  // Corrupt vCPU 1's bit, then change only vCPU 0: the refresh of vCPU 0
+  // re-verifies every vCPU's bits.
+  AuditTestAccess::FlipQueuedIdleMaskBit(k, 1);
+  EXPECT_EQ(audit::ViolationCount(), 0u);
+  k.StartTask(k.CreateTask("t", TaskPolicy::kNormal, &behavior_, CpuMask::Single(0)));
+  EXPECT_TRUE(AnyViolationContains("guest kernel: queued-idle mask"));
+}
+
+TEST_F(AuditTest, GuestAsymFlagCorruptionIsCaught) {
+  Simulation sim(6);
+  HostMachine machine(&sim, TopologySpec{});
+  Vm vm(&sim, &machine, MakeSimpleVmSpec("vm", 2));
+  AuditTestAccess::FlipAsymKnown(vm.kernel());
+  vm.kernel().AuditVerify();
+  EXPECT_TRUE(AnyViolationContains("guest kernel: cached asym-capacity flag"));
 }
 
 TEST_F(AuditTest, SimulationClockStaysMonotone) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "src/guest/vm.h"
 #include "src/host/machine.h"
 #include "src/host/stressor.h"
@@ -149,6 +153,40 @@ TEST_F(VactFixture, MedianLatencyAcrossVcpus) {
   // Two dedicated vCPUs (latency ~0) and one shaped: median ~0.
   EXPECT_LT(vact.MedianLatency(), static_cast<double>(MsToNs(1)));
   EXPECT_GT(vact.LatencyOf(2), static_cast<double>(MsToNs(2)));
+}
+
+// MedianLatency() is cached between windows; every window end must refresh
+// it. Two shaped vCPUs keep their EMAs moving window after window, and the
+// cached median must equal a recompute from LatencyOf bit for bit.
+TEST_F(VactFixture, CachedMedianLatencyTracksEveryWindow) {
+  VmSpec spec = MakeSimpleVmSpec("vm", 3);
+  spec.vcpus[1].bw_quota = MsToNs(4);
+  spec.vcpus[1].bw_period = MsToNs(8);
+  spec.vcpus[2].bw_quota = MsToNs(2);
+  spec.vcpus[2].bw_period = MsToNs(8);
+  Vm vm(&sim_, &machine_, spec);
+  std::vector<std::unique_ptr<HogBehavior>> hogs;
+  for (int i = 0; i < 3; ++i) {
+    hogs.push_back(std::make_unique<HogBehavior>());
+    vm.kernel().StartTask(vm.kernel().CreateTask("h", TaskPolicy::kNormal, hogs.back().get(),
+                                                 CpuMask::Single(i)));
+  }
+  Vact vact(&vm.kernel());
+  vact.Start();
+  EXPECT_EQ(vact.MedianLatency(), 0.0);  // no estimate yet
+  std::vector<double> medians;
+  for (int step = 0; step < 20; ++step) {
+    sim_.RunFor(MsToNs(250));
+    if (!vact.has_results()) {
+      continue;
+    }
+    std::vector<double> lat = {vact.LatencyOf(0), vact.LatencyOf(1), vact.LatencyOf(2)};
+    std::sort(lat.begin(), lat.end());
+    EXPECT_EQ(vact.MedianLatency(), lat[1]) << "step " << step;
+    medians.push_back(vact.MedianLatency());
+  }
+  ASSERT_FALSE(medians.empty());
+  EXPECT_NE(medians.front(), medians.back());  // the median really moved
 }
 
 }  // namespace

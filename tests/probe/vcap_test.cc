@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/guest/vm.h"
 #include "src/host/machine.h"
 #include "src/host/stressor.h"
@@ -121,6 +124,42 @@ TEST_F(VcapFixture, MedianCapacity) {
   sim_.RunFor(SecToNs(3));
   // Three full-capacity vCPUs, one at 20% → median near full.
   EXPECT_GT(vcap.MedianCapacity(), 900.0);
+}
+
+// MedianCapacity() is cached between windows; every window end and every
+// skip-mask change must refresh it. Reference: the median recomputed from
+// CapacityOf over the probed vCPUs, compared bit for bit.
+TEST_F(VcapFixture, CachedMedianCapacityTracksWindowsAndSkipMask) {
+  VmSpec spec = MakeSimpleVmSpec("vm", 3);
+  spec.vcpus[1].bw_quota = MsToNs(6);
+  spec.vcpus[1].bw_period = MsToNs(10);
+  spec.vcpus[2].bw_quota = MsToNs(3);
+  spec.vcpus[2].bw_period = MsToNs(10);
+  Vm vm(&sim_, &machine_, spec);
+  Vcap vcap(&vm.kernel());
+  CpuMask skip;
+  auto reference = [&] {
+    std::vector<double> caps;
+    for (int i = 0; i < 3; ++i) {
+      if (!skip.Test(i)) {
+        caps.push_back(vcap.CapacityOf(i));
+      }
+    }
+    std::sort(caps.begin(), caps.end());
+    return caps[(caps.size() - 1) / 2];
+  };
+  EXPECT_EQ(vcap.MedianCapacity(), kCapacityScale);  // no estimate yet
+  vcap.Start();
+  for (int step = 0; step < 24; ++step) {
+    sim_.RunFor(MsToNs(250));
+    if (step == 13) {  // no window ended since the last query
+      skip = CpuMask::Single(1);
+      vcap.SetSkipMask(skip);
+    }
+    ASSERT_TRUE(vcap.has_results());  // the first window ends at 100 ms
+    EXPECT_EQ(vcap.MedianCapacity(), reference()) << "step " << step;
+  }
+  EXPECT_LT(vcap.MedianCapacity(), 900.0);  // the two shaped vCPUs remain
 }
 
 TEST_F(VcapFixture, SkipMaskSuppressesProbing) {

@@ -197,7 +197,7 @@ const std::vector<TokenRule>& TokenRules() {
        "drivers act only through the public host surface (Stressor, bandwidth "
        "caps) — the threat model grants platform constants, not victim state",
        std::regex(
-           R"(\b(Vcap|Vact|Vtop|VSched|Bvs|Ivh|Rwc|PairProbe|ConfidenceTracker|DegradationTracker|FaultInjector|DropSample|CorruptSample|CapacityOf|MedianLatency|QuarantinedMask|SetCapacityOverride|set_degraded|set_freeze|RebuildSchedDomains)\b)"),
+           R"(\b(Vcap|Vact|Vtop|VSched|Bvs|Ivh|Rwc|PairProbe|ConfidenceTracker|DegradationTracker|FaultInjector|DropSample|CorruptSample|CapacityOf|MedianLatency|QuarantinedMask|SetCapacityOverrides?|set_degraded|set_freeze|RebuildSchedDomains)\b)"),
        &IsAdversaryPath},
   };
   return *rules;
