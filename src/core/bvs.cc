@@ -10,10 +10,13 @@ namespace vsched {
 Bvs::Bvs(GuestKernel* kernel, Vcap* vcap, Vact* vact, BvsConfig config)
     : kernel_(kernel), vcap_(vcap), vact_(vact), config_(config) {}
 
-void Bvs::Install() {
-  kernel_->set_select_hook(
-      [this](Task* t, int prev, int waker) { return SelectVcpu(t, prev, waker); });
+Bvs::~Bvs() {
+  if (kernel_->placement() == this) {
+    kernel_->set_placement(nullptr);
+  }
 }
+
+void Bvs::Install() { kernel_->set_placement(this); }
 
 bool Bvs::AcceptableVcpu(const GuestVcpu& v, double median_cap, double median_lat) {
   int cpu = v.index();

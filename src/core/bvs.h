@@ -12,27 +12,29 @@
 #define SRC_CORE_BVS_H_
 
 #include "src/core/config.h"
+#include "src/guest/kernel_hooks.h"
 
 namespace vsched {
 
 class GuestKernel;
 class GuestVcpu;
-class Task;
 class Vact;
 class Vcap;
 
-class Bvs {
+class Bvs : public WakePlacement {
  public:
   Bvs(GuestKernel* kernel, Vcap* vcap, Vact* vact, BvsConfig config = BvsConfig{});
+  // Uninstalls itself if it is still the kernel's placement.
+  ~Bvs() override;
 
   Bvs(const Bvs&) = delete;
   Bvs& operator=(const Bvs&) = delete;
 
-  // Installs the select hook into the kernel.
+  // Installs this as the kernel's wake placement.
   void Install();
 
-  // The hook body (public for tests): returns the chosen vCPU or -1.
-  int SelectVcpu(Task* task, int prev_cpu, int waker_cpu);
+  // WakePlacement (public for tests): returns the chosen vCPU or -1.
+  int SelectVcpu(Task* task, int prev_cpu, int waker_cpu) override;
 
   // Degraded mode: probe confidence is too low to trust the latency-based
   // placement, so every selection falls back to the CFS heuristic (-1).

@@ -13,15 +13,9 @@ Ivh::Ivh(GuestKernel* kernel, Vcap* vcap, Vact* vact, IvhConfig config)
   handshakes_.resize(kernel_->num_vcpus());
 }
 
-void Ivh::Install() {
-  kernel_->AddTickHook(
-      [this, alive = std::weak_ptr<const bool>(alive_)](GuestVcpu* v, TimeNs now) {
-        if (alive.expired()) {
-          return;
-        }
-        OnTick(v, now);
-      });
-}
+Ivh::~Ivh() { kernel_->RemoveTickListener(this); }
+
+void Ivh::Install() { kernel_->AddTickListener(this); }
 
 void Ivh::OnTick(GuestVcpu* v, TimeNs now) {
   int src = v->index();
@@ -40,10 +34,10 @@ void Ivh::OnTick(GuestVcpu* v, TimeNs now) {
   if (curr == nullptr || curr->policy() == TaskPolicy::kIdle) {
     return;
   }
-  if (curr->UtilAt(now) < config_.cpu_intensive_util) {
+  if (now - curr->stint_start() < config_.migration_threshold) {
     return;
   }
-  if (now - curr->stint_start() < config_.migration_threshold) {
+  if (curr->UtilAt(now) < config_.cpu_intensive_util) {
     return;
   }
   if (vact_->LatencyOf(src) < config_.min_source_latency_ns) {

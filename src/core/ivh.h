@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "src/core/config.h"
+#include "src/guest/kernel_hooks.h"
 
 namespace vsched {
 
@@ -27,14 +28,16 @@ class Task;
 class Vact;
 class Vcap;
 
-class Ivh {
+class Ivh : private TickListener {
  public:
   Ivh(GuestKernel* kernel, Vcap* vcap, Vact* vact, IvhConfig config = IvhConfig{});
+  // Unregisters from the kernel's tick.
+  ~Ivh() override;
 
   Ivh(const Ivh&) = delete;
   Ivh& operator=(const Ivh&) = delete;
 
-  // Installs the tick hook.
+  // Registers for the kernel's scheduler tick.
   void Install();
 
   // Degraded mode: activity estimates are untrusted, so no new harvest
@@ -58,7 +61,9 @@ class Ivh {
     bool target_holding = false;
   };
 
-  void OnTick(GuestVcpu* v, TimeNs now);
+  // TickListener:
+  void OnTick(GuestVcpu* v, TimeNs now) override;
+
   int FindTarget(Task* task, int src, TimeNs now);
   void BeginHandshake(Task* task, int src, int dst, TimeNs now);
   void TargetActivated(int src, uint64_t id);

@@ -99,8 +99,8 @@ struct FaultPlan {
   }
 };
 
-// Canned plans, addressable from the CLI and the scenario language. "none"
-// is the empty plan. Returns false when `name` is unknown.
+// Canned plans, addressable from the CLI (`--fault-plan`). "none" is the
+// empty plan. Returns false when `name` is unknown.
 bool LookupFaultPlan(const std::string& name, FaultPlan* out);
 
 // Names of all canned plans, in a fixed order ("none" first).

@@ -84,6 +84,9 @@ GuestKernel::GuestKernel(Simulation* sim, HostMachine* machine, std::vector<Vcpu
 }
 
 GuestKernel::~GuestKernel() {
+  // A listener still registered would outlive the kernel and touch it from
+  // its own destructor.
+  VSCHED_CHECK(tick_listeners_.empty());
   shutting_down_ = true;
   for (TimerId id : tick_timers_) {
     sim_->DestroyTimer(id);
@@ -165,8 +168,8 @@ void GuestKernel::ApplyAction(Task* task, TaskAction action, bool on_cpu, TimeNs
       } else {
         task->state_ = TaskState::kRunnable;
         int cpu = -1;
-        if (select_hook_) {
-          cpu = select_hook_(task, task->prev_cpu_, waker_cpu);
+        if (placement_ != nullptr) {
+          cpu = placement_->SelectVcpu(task, task->prev_cpu_, waker_cpu);
         }
         if (cpu < 0) {
           cpu = SelectTaskRqCfs(task, task->prev_cpu_, waker_cpu);
@@ -422,22 +425,22 @@ void GuestKernel::SendReschedIpi(int from_cpu, int to_cpu) {
               });
 }
 
-void GuestKernel::RunOnVcpu(int cpu, std::function<void()> fn, bool kick) {
+void GuestKernel::RunOnVcpu(int cpu, EventCallback fn, bool kick) {
   GuestVcpu* v = vcpus_[cpu].get();
   if (v->active()) {
-    sim_->After(params_->ipi_delay,
-                [v, fn = std::move(fn),
-                 alive = std::weak_ptr<const bool>(alive_)]() mutable {
-                  if (alive.expired()) {
-                    return;  // VM destroyed while the IPI was in flight.
-                  }
-                  if (v->active()) {
-                    fn();
-                  } else {
-                    v->pending_ipis_.push_back(std::move(fn));
-                    v->UpdateHostDemand();
-                  }
-                });
+    v->inflight_ipis_.push_back(std::move(fn));
+    sim_->After(params_->ipi_delay, [v, alive = std::weak_ptr<const bool>(alive_)] {
+      if (alive.expired()) {
+        return;  // VM destroyed while the IPI was in flight.
+      }
+      EventCallback delivered = v->TakeInflightIpi();
+      if (v->active()) {
+        delivered();
+      } else {
+        v->pending_ipis_.push_back(std::move(delivered));
+        v->UpdateHostDemand();
+      }
+    });
     return;
   }
   v->pending_ipis_.push_back(std::move(fn));
@@ -664,10 +667,23 @@ void GuestKernel::OnTick(int cpu) {
   sim_->ArmTimerAfter(timer, params_->tick_period);
   TimeNs now = sim_->now();
   CfsTick(v, now);
-  for (auto& hook : tick_hooks_) {
-    hook(v, now);
+  for (TickListener* listener : tick_listeners_) {
+    listener->OnTick(v, now);
   }
   v->last_tick_ = now;
+}
+
+void GuestKernel::AddTickListener(TickListener* listener) {
+  VSCHED_CHECK(std::find(tick_listeners_.begin(), tick_listeners_.end(), listener) ==
+               tick_listeners_.end());
+  tick_listeners_.push_back(listener);
+}
+
+void GuestKernel::RemoveTickListener(TickListener* listener) {
+  auto it = std::find(tick_listeners_.begin(), tick_listeners_.end(), listener);
+  if (it != tick_listeners_.end()) {
+    tick_listeners_.erase(it);
+  }
 }
 
 void GuestKernel::ResumeTick(int cpu) {

@@ -4,12 +4,12 @@
 // runqueues with vruntime fairness and SCHED_IDLE subordination, PELT,
 // wake-up CPU selection over schedule domains, periodic/idle load balancing,
 // misfit active balance, steal-aware CFS capacity estimation, cgroup-cpuset
-// banning, and scheduler-tick hooks. vSched (src/core) attaches to the hook
-// points exactly where the paper inserts BPF hooks and its kernel module.
+// banning, and the wake-placement and scheduler-tick hook points
+// (kernel_hooks.h). vSched (src/core) attaches to them exactly where the
+// paper inserts BPF hooks and its kernel module.
 #ifndef SRC_GUEST_GUEST_KERNEL_H_
 #define SRC_GUEST_GUEST_KERNEL_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,8 +18,10 @@
 #include "src/guest/cpumask.h"
 #include "src/guest/guest_topology.h"
 #include "src/guest/guest_vcpu.h"
+#include "src/guest/kernel_hooks.h"
 #include "src/guest/pelt_arena.h"
 #include "src/guest/task.h"
+#include "src/sim/event_callback.h"
 #include "src/sim/rng.h"
 #include "src/sim/timer_wheel.h"
 #include "src/stats/stats.h"
@@ -185,21 +187,22 @@ class GuestKernel {
 
   // ---- Hooks (where the paper's BPF programs attach, §4) ----
 
-  // Wake/fork placement override; return -1 to fall back to CFS. Receives
-  // (task, prev_cpu, waker_cpu).
-  using SelectHook = std::function<int(Task*, int, int)>;
-  void set_select_hook(SelectHook hook) { select_hook_ = std::move(hook); }
+  // Wake/fork placement override (see WakePlacement); null means CFS only.
+  void set_placement(WakePlacement* placement) { placement_ = placement; }
+  WakePlacement* placement() const { return placement_; }
 
-  // Invoked on each scheduler tick of an *active* vCPU, after CFS tick work.
-  using TickHook = std::function<void(GuestVcpu*, TimeNs)>;
-  void AddTickHook(TickHook hook) { tick_hooks_.push_back(std::move(hook)); }
+  // Registers/unregisters a tick listener (see TickListener). Removing one
+  // that is not registered is a no-op.
+  void AddTickListener(TickListener* listener);
+  void RemoveTickListener(TickListener* listener);
 
   // ---- Primitives vSched components build on ----
 
   // Runs `fn` in the context of vCPU `cpu`: after ipi_delay if it is active,
   // otherwise deferred until it next becomes active. If `kick` is set and
-  // the vCPU is halted, it is woken (pre-wake, §3.3).
-  void RunOnVcpu(int cpu, std::function<void()> fn, bool kick = false);
+  // the vCPU is halted, it is woken (pre-wake, §3.3). Calls made to an
+  // active vCPU are delivered in the order they were made.
+  void RunOnVcpu(int cpu, EventCallback fn, bool kick = false);
 
   // Migrates a queued (not running) task. Returns false if no longer queued.
   bool MigrateQueuedTask(Task* task, int to_cpu);
@@ -289,8 +292,8 @@ class GuestKernel {
   CpuMask straggler_banned_;
   CpuMask stack_banned_;
 
-  SelectHook select_hook_;
-  std::vector<TickHook> tick_hooks_;
+  WakePlacement* placement_ = nullptr;
+  std::vector<TickListener*> tick_listeners_;
   FaultInjector* fault_injector_ = nullptr;
 
   KernelCounters counters_;

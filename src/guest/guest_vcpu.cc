@@ -52,7 +52,7 @@ void GuestVcpu::OnVcpuScheduledIn(TimeNs now) {
     OpenSegment(now);
   }
   if (!pending_ipis_.empty()) {
-    std::vector<std::function<void()>> ipis;
+    std::vector<EventCallback> ipis;
     ipis.swap(pending_ipis_);
     for (auto& fn : ipis) {
       fn();
@@ -222,6 +222,16 @@ void GuestVcpu::Reschedule(TimeNs now) {
   if (!segment_open_ && active() && current_->burst_remaining_ > 0) {
     OpenSegment(now);
   }
+}
+
+EventCallback GuestVcpu::TakeInflightIpi() {
+  VSCHED_CHECK(inflight_head_ < inflight_ipis_.size());
+  EventCallback fn = std::move(inflight_ipis_[inflight_head_]);
+  if (++inflight_head_ == inflight_ipis_.size()) {
+    inflight_ipis_.clear();
+    inflight_head_ = 0;
+  }
+  return fn;
 }
 
 void GuestVcpu::UpdateHostDemand() {

@@ -10,7 +10,6 @@
 #ifndef SRC_GUEST_GUEST_VCPU_H_
 #define SRC_GUEST_GUEST_VCPU_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -19,6 +18,7 @@
 #include "src/guest/runqueue.h"
 #include "src/guest/task.h"
 #include "src/host/vcpu_thread.h"
+#include "src/sim/event_callback.h"
 #include "src/sim/timer_wheel.h"
 
 namespace vsched {
@@ -120,6 +120,9 @@ class GuestVcpu : public VcpuHostClient {
   // Updates the halted/wants-to-run demand signal toward the host.
   void UpdateHostDemand();
 
+  // Removes and returns the oldest in-flight RunOnVcpu payload.
+  EventCallback TakeInflightIpi();
+
   void NotifyWatchers(TimeNs now) {
     // Indexed rather than range-for: a watcher that broke the no-add/remove
     // rule could not invalidate an iterator.
@@ -149,7 +152,13 @@ class GuestVcpu : public VcpuHostClient {
   int spin_holds_ = 0;
 
   // Deferred function calls (IPIs) to execute when next active.
-  std::vector<std::function<void()>> pending_ipis_;
+  std::vector<EventCallback> pending_ipis_;
+  // Payloads of RunOnVcpu calls whose delivery event is still in flight,
+  // oldest first from inflight_head_. The IPI delay is constant per kernel,
+  // so deliveries fire in post order and each one pops the front; keeping
+  // the payload here leaves the delivery event small enough to stay inline.
+  std::vector<EventCallback> inflight_ipis_;
+  size_t inflight_head_ = 0;
 
   // State watchers (vtop pair probes); empty on almost every vCPU.
   std::vector<VcpuWatcher*> watchers_;

@@ -32,18 +32,7 @@ void Vact::Start() {
     return;
   }
   running_ = true;
-  if (!hook_installed_) {
-    hook_installed_ = true;
-    kernel_->AddTickHook([this, alive = std::weak_ptr<const bool>(alive_)](
-                             GuestVcpu* v, TimeNs now) {
-      if (alive.expired()) {
-        return;
-      }
-      if (running_) {
-        OnTick(v, now);
-      }
-    });
-  }
+  kernel_->AddTickListener(this);
   TimeNs now = sim_->now();
   window_start_ = now;
   for (int i = 0; i < kernel_->num_vcpus(); ++i) {
@@ -61,8 +50,11 @@ void Vact::Start() {
       });
 }
 
+Vact::~Vact() { kernel_->RemoveTickListener(this); }
+
 void Vact::Stop() {
   running_ = false;
+  kernel_->RemoveTickListener(this);
   // Cancel rather than let the event fire into a possibly-destroyed prober
   // (fleet tenants tear their whole stack down mid-simulation). EventIds are
   // generation-tagged, so cancelling an already-fired event is a no-op.

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/base/time.h"
+#include "src/guest/kernel_hooks.h"
 #include "src/probe/robust.h"
 #include "src/sim/event_queue.h"
 #include "src/stats/stats.h"
@@ -22,7 +23,6 @@
 namespace vsched {
 
 class GuestKernel;
-class GuestVcpu;
 class Simulation;
 
 struct VactConfig {
@@ -46,17 +46,21 @@ struct VcpuStateView {
   TimeNs since = 0;  // when the current state (approximately) began
 };
 
-class Vact {
+class Vact : private TickListener {
  public:
   Vact(GuestKernel* kernel, VactConfig config = VactConfig{});
+  // Unregisters from the kernel's tick.
+  ~Vact() override;
 
   Vact(const Vact&) = delete;
   Vact& operator=(const Vact&) = delete;
 
-  // Installs the tick instrumentation and the periodic latency updates.
+  // Registers the tick instrumentation and starts the periodic latency
+  // updates.
   void Start();
-  // Cancels the pending window event: the prober may be destroyed right
-  // after (VM teardown mid-simulation) without leaving a dangling callback.
+  // Unregisters the tick instrumentation and cancels the pending window
+  // event: the prober may be destroyed right after (VM teardown
+  // mid-simulation) without leaving a dangling callback.
   void Stop();
 
   // Average vCPU inactive period — the "vCPU latency" abstraction (ns).
@@ -85,14 +89,14 @@ class Vact {
   int subthreshold_windows() const { return subthreshold_windows_; }
 
  private:
-  void OnTick(GuestVcpu* v, TimeNs now);
+  // TickListener:
+  void OnTick(GuestVcpu* v, TimeNs now) override;
   void OnWindowEnd();
 
   GuestKernel* kernel_;
   Simulation* sim_;
   VactConfig config_;
   bool running_ = false;
-  bool hook_installed_ = false;
   int windows_completed_ = 0;
   EventId window_event_;
 

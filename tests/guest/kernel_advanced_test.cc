@@ -1,4 +1,6 @@
 // Misfit balance, bans/evacuation, RunOnVcpu, stacking, capacity estimates.
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/guest/vm.h"
@@ -144,6 +146,31 @@ TEST_F(AdvancedFixture, RunOnVcpuKickPreWakesHaltedVcpu) {
   EXPECT_FALSE(vm.thread(0).wants_to_run());
 }
 
+TEST_F(AdvancedFixture, RunOnVcpuDeliversInPostOrder) {
+  Vm vm(&sim_, &machine_, MakeSimpleVmSpec("vm", 2));
+  HogBehavior hog0;
+  HogBehavior hog1;
+  vm.kernel().StartTask(
+      vm.kernel().CreateTask("hog0", TaskPolicy::kNormal, &hog0, CpuMask::Single(0)));
+  vm.kernel().StartTask(
+      vm.kernel().CreateTask("hog1", TaskPolicy::kNormal, &hog1, CpuMask::Single(1)));
+  sim_.RunFor(MsToNs(5));
+  ASSERT_TRUE(vm.kernel().vcpu(0).active());
+  std::vector<int> order;
+  for (int i = 0; i < 3; ++i) {
+    vm.kernel().RunOnVcpu(0, [&order, i] { order.push_back(i); });
+    // A call to another vCPU in between has its own delivery.
+    vm.kernel().RunOnVcpu(1, [&order, i] { order.push_back(10 + i); });
+  }
+  // A call made from a delivered call lands behind the ones already posted.
+  vm.kernel().RunOnVcpu(0, [&] {
+    order.push_back(3);
+    vm.kernel().RunOnVcpu(0, [&order] { order.push_back(4); });
+  });
+  sim_.RunFor(MsToNs(1));
+  EXPECT_EQ(order, (std::vector<int>{0, 10, 1, 11, 2, 12, 3, 4}));
+}
+
 TEST_F(AdvancedFixture, StackedVcpusMakeHalfProgress) {
   VmSpec spec = MakeSimpleVmSpec("vm", 2);
   spec.vcpus[1].tid = 0;  // Stack both vCPUs on hardware thread 0.
@@ -253,8 +280,11 @@ TEST_F(AdvancedFixture, CommPenaltyScalesWithDistance) {
 }
 
 TEST_F(AdvancedFixture, SelectHookOverridesPlacement) {
+  struct AlwaysThree : WakePlacement {
+    int SelectVcpu(Task*, int, int) override { return 3; }
+  } placement;
   Vm vm(&sim_, &machine_, MakeSimpleVmSpec("vm", 4));
-  vm.kernel().set_select_hook([](Task*, int, int) { return 3; });
+  vm.kernel().set_placement(&placement);
   HogBehavior hog;
   Task* t = vm.kernel().CreateTask("hog", TaskPolicy::kNormal, &hog);
   vm.kernel().StartTask(t);
@@ -262,16 +292,24 @@ TEST_F(AdvancedFixture, SelectHookOverridesPlacement) {
 }
 
 TEST_F(AdvancedFixture, TickHookFiresOnActiveVcpus) {
+  struct CountingListener : TickListener {
+    void OnTick(GuestVcpu*, TimeNs) override { ++calls; }
+    int calls = 0;
+  } listener;
   Vm vm(&sim_, &machine_, MakeSimpleVmSpec("vm", 2));
-  int hook_calls = 0;
-  vm.kernel().AddTickHook([&](GuestVcpu*, TimeNs) { ++hook_calls; });
+  vm.kernel().AddTickListener(&listener);
   HogBehavior hog;
   Task* t = vm.kernel().CreateTask("hog", TaskPolicy::kNormal, &hog, CpuMask::Single(0));
   vm.kernel().StartTask(t);
   sim_.RunFor(MsToNs(100));
   // Only vCPU 0 is busy; vCPU 1 is halted and receives no ticks.
-  EXPECT_GE(hook_calls, 95);
-  EXPECT_LE(hook_calls, 105);
+  EXPECT_GE(listener.calls, 95);
+  EXPECT_LE(listener.calls, 105);
+  // Removal stops delivery.
+  vm.kernel().RemoveTickListener(&listener);
+  const int calls = listener.calls;
+  sim_.RunFor(MsToNs(20));
+  EXPECT_EQ(listener.calls, calls);
 }
 
 }  // namespace

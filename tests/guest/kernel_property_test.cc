@@ -138,22 +138,26 @@ TEST_P(BanEnforcement, BannedVcpusNeverRunIneligibleTasks) {
   sim.RunFor(MsToNs(50));
   kernel.SetBans(/*straggler=*/CpuMask::Single(4), /*stack=*/CpuMask::Single(5));
   sim.RunFor(MsToNs(20));  // Allow evacuation to finish.
-  int violations = 0;
-  kernel.AddTickHook([&](GuestVcpu* v, TimeNs) {
-    Task* curr = v->current();
-    if (curr == nullptr) {
-      return;
+  struct BanChecker : TickListener {
+    void OnTick(GuestVcpu* v, TimeNs) override {
+      Task* curr = v->current();
+      if (curr == nullptr) {
+        return;
+      }
+      if (v->index() == 5 && !curr->exempt_all_bans()) {
+        ++violations;
+      }
+      if (v->index() == 4 && curr->policy() == TaskPolicy::kNormal &&
+          !curr->exempt_straggler_ban() && !curr->exempt_all_bans()) {
+        ++violations;
+      }
     }
-    if (v->index() == 5 && !curr->exempt_all_bans()) {
-      ++violations;
-    }
-    if (v->index() == 4 && curr->policy() == TaskPolicy::kNormal &&
-        !curr->exempt_straggler_ban() && !curr->exempt_all_bans()) {
-      ++violations;
-    }
-  });
+    int violations = 0;
+  } checker;
+  kernel.AddTickListener(&checker);
   sim.RunFor(SecToNs(1));
-  EXPECT_EQ(violations, 0);
+  kernel.RemoveTickListener(&checker);
+  EXPECT_EQ(checker.violations, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BanEnforcement, ::testing::Values(7, 17, 27));

@@ -51,6 +51,15 @@ INSTANTIATE_TEST_SUITE_P(Pairs, NiceShares,
                          ::testing::Values(NiceCase{0, 0}, NiceCase{-5, 0}, NiceCase{0, 5},
                                            NiceCase{-10, 10}, NiceCase{-1, 1}));
 
+TEST(NiceLevelTest, WeightTableAndFairness) {
+  EXPECT_DOUBLE_EQ(NiceToWeight(0), 1024.0);
+  EXPECT_DOUBLE_EQ(NiceToWeight(-20), 88761.0);
+  EXPECT_DOUBLE_EQ(NiceToWeight(19), 15.0);
+  // Each nice step ≈ 1.25x.
+  EXPECT_NEAR(NiceToWeight(-1) / NiceToWeight(0), 1.25, 0.01);
+  EXPECT_NEAR(NiceToWeight(0) / NiceToWeight(1), 1.25, 0.01);
+}
+
 TEST(NiceTest, HighNiceStillRunsEventually) {
   Simulation sim(22);
   HostMachine machine(&sim, OneCore());

@@ -190,10 +190,6 @@ TEST(LintEventLifetime, CoversTimerTickHookAndPeriodicSinks) {
       LintFile("src/host/a.cc", "void S::Init() {\n  t_ = sim_->CreateTimer([this] { Fire(); });\n}\n"),
       "event-lifetime"));
   EXPECT_TRUE(HasRule(
-      LintFile("src/core/a.cc",
-               "void S::Init() {\n  kernel_->AddTickHook([this](GuestVcpu* v, TimeNs now) { OnTick(v, now); });\n}\n"),
-      "event-lifetime"));
-  EXPECT_TRUE(HasRule(
       LintFile("src/cluster/a.cc", "void S::Init() {\n  h_ = sim_->Every(period, [this] { Tick(); });\n}\n"),
       "event-lifetime"));
   EXPECT_TRUE(HasRule(

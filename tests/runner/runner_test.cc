@@ -106,5 +106,22 @@ TEST(RunnerTest, ProgressHookFiresOncePerRun) {
   EXPECT_EQ(fired, static_cast<int>(sweep.runs.size()));
 }
 
+// Every simulator callback of a vSched run fits EventCallback's inline
+// buffer, including the ivh handshake steps that travel through RunOnVcpu.
+// The windows are long enough for vcap to publish and ivh to start
+// harvesting (about 2,000 handshake steps).
+TEST(RunnerTest, VschedRunAllocatesNoHeapCallbacks) {
+  ExperimentSpec sweep = OverallSweep(ExperimentFamily::kOverallHpvm, /*seed=*/0,
+                                      /*warmup=*/MsToNs(500), /*measure=*/MsToNs(1500));
+  sweep.Filter("fig19_hpvm/blackscholes/vsched");
+  ASSERT_EQ(sweep.runs.size(), 1u);
+  RunnerOptions options;
+  options.jobs = 1;
+  RunResult result = Runner::RunOne(sweep.runs[0], 0, options);
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_GT(result.counters.events_executed, 0u);
+  EXPECT_EQ(result.counters.callback_heap_allocs, 0u);
+}
+
 }  // namespace
 }  // namespace vsched

@@ -32,10 +32,9 @@ struct SinkSpec {
   bool factory = false;
 };
 const SinkSpec kSinks[] = {
-    {"After", false},       {"At", true},          {"ScheduleAfter", false},
-    {"ScheduleAt", false},  {"CreateTimer", false}, {"Every", true},
-    {"RunOnVcpu", false},   {"AddTickHook", false}, {"ArmArrival", false},
-    {"PostBatch", false, /*factory=*/true},
+    {"After", false},      {"At", true},          {"ScheduleAfter", false},
+    {"ScheduleAt", false}, {"CreateTimer", false}, {"Every", true},
+    {"RunOnVcpu", false},  {"ArmArrival", false},  {"PostBatch", false, /*factory=*/true},
 };
 
 // The sharded fleet engine's barrier mailbox (src/sim/shard_mailbox.h): a

@@ -18,10 +18,10 @@
 //   3. a capture analyzer for every lambda literal passed to an event
 //      *sink*: `Simulation::After/At`, `EventQueue::ScheduleAt/After`,
 //      `CreateTimer`, `Every`, the IPI queue (`GuestKernel::RunOnVcpu`),
-//      tick-hook registration (`AddTickHook`), the fault injector's
-//      posting wrapper (`ArmArrival`), and the batch-posting entry point
-//      (`EventQueue::PostBatch` — a *factory* sink: the lambda passed in is
-//      invoked synchronously, so the rules apply to the closure it returns).
+//      the fault injector's posting wrapper (`ArmArrival`), and the
+//      batch-posting entry point (`EventQueue::PostBatch` — a *factory*
+//      sink: the lambda passed in is invoked synchronously, so the rules
+//      apply to the closure it returns).
 //
 // Three rule families run on top:
 //
